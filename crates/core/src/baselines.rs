@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtlock_netlist::ppa::{analyze as ppa_analyze, PpaConfig};
+use rtlock_netlist::ppa::area_um2;
 use rtlock_netlist::{GateId, GateKind, Netlist};
 
 /// The baseline techniques.
@@ -81,7 +81,7 @@ pub fn lock_baseline(
     seed: u64,
 ) -> BaselineLocked {
     let mut rng = StdRng::seed_from_u64(seed);
-    let base_area = ppa_analyze(original, &PpaConfig::default()).area_um2;
+    let base_area = area_um2(original);
     assert!(base_area > 0.0, "empty netlist");
     let mut n = original.clone();
     let mut key = Vec::new();
@@ -91,7 +91,7 @@ pub fn lock_baseline(
     let mut site_cursor = 0usize;
 
     while key.len() < max_key_bits {
-        let area = ppa_analyze(&n, &PpaConfig::default()).area_um2;
+        let area = area_um2(&n);
         if (area - base_area) / base_area * 100.0 >= target_overhead_pct {
             break;
         }
@@ -146,7 +146,7 @@ pub fn lock_baseline(
             }
         }
     }
-    let area = ppa_analyze(&n, &PpaConfig::default()).area_um2;
+    let area = area_um2(&n);
     BaselineLocked {
         netlist: n,
         key,

@@ -14,7 +14,7 @@ use rtlock_artifacts::{cached_elaborate, cached_optimize, ArtifactStore};
 use rtlock_attacks::ml::scope_attack;
 use rtlock_attacks::{sat_attack, AttackConfig, AttackOutcome};
 use rtlock_governor::CancelToken;
-use rtlock_netlist::ppa::{analyze as ppa_analyze, PpaConfig};
+use rtlock_netlist::ppa::area_um2;
 use rtlock_rtl::fsm::Fsm;
 use rtlock_rtl::Module;
 use rtlock_synth::{scan, scan_view};
@@ -202,17 +202,20 @@ pub fn build_database_governed_cached(
     cache: Option<&ArtifactStore>,
 ) -> (Database, bool) {
     let mut degraded = cancel.should_stop().is_some();
-    // Base synthesis for the area reference, plus the original scan view
-    // the SAT probes compare against — neither is needed (or affordable)
-    // in degraded mode.
+    // Base synthesis for the area reference, plus (only when the SAT probe
+    // is on) the original scan view the probes compare against — neither
+    // is needed (or affordable) in degraded mode.
     let mut base = None;
     if !degraded {
         match cached_elaborate(cache, original, cancel) {
             Ok(elabbed) => {
                 let (mut n, _) = cached_optimize(cache, &elabbed, cancel);
-                let base_area = ppa_analyze(&n, &PpaConfig::default()).area_um2;
-                scan::insert_full_scan(&mut n);
-                base = Some((base_area, scan_view(&n).netlist));
+                let base_area = area_um2(&n);
+                let orig_view = config.sat_probe.then(|| {
+                    scan::insert_full_scan(&mut n);
+                    scan_view(&n).netlist
+                });
+                base = Some((base_area, orig_view));
             }
             Err(_) => {
                 return (
@@ -244,8 +247,8 @@ pub fn build_database_governed_cached(
         let seed = config.seed.wrapping_add(i as u64);
         let row = match (&base, degraded) {
             (Some((base_area, orig_view)), false) => full_row(
-                original, &locked, cand, fsms, &key, i, seed, *base_area, orig_view, config, cancel,
-                cache,
+                original, &locked, cand, fsms, &key, i, seed, *base_area, orig_view.as_ref(), config,
+                cancel, cache,
             ),
             _ => degraded_row(original, &locked, cand, fsms, &key, i, seed, config),
         };
@@ -255,7 +258,8 @@ pub fn build_database_governed_cached(
 }
 
 /// Full candidate characterization: per-case synthesis, area measurement,
-/// corruption co-simulation and the configured SAT/ML probes.
+/// corruption co-simulation and the configured SAT/ML probes. `orig_view`
+/// is the original's scan view, present exactly when the SAT probe is on.
 #[allow(clippy::too_many_arguments)]
 fn full_row(
     original: &Module,
@@ -266,7 +270,7 @@ fn full_row(
     i: usize,
     seed: u64,
     base_area: f64,
-    orig_view: &rtlock_netlist::Netlist,
+    orig_view: Option<&rtlock_netlist::Netlist>,
     config: &DatabaseConfig,
     cancel: &CancelToken,
     cache: Option<&ArtifactStore>,
@@ -275,7 +279,7 @@ fn full_row(
         return unusable(i, cand, "locked RTL does not synthesize");
     };
     let (netlist, _) = cached_optimize(cache, &elabbed, cancel);
-    let area = ppa_analyze(&netlist, &PpaConfig::default()).area_um2;
+    let area = area_um2(&netlist);
     let area_overhead_pct = if base_area > 0.0 { (area - base_area) / base_area * 100.0 } else { 0.0 };
 
     let corruption =
@@ -293,7 +297,7 @@ fn full_row(
     };
 
     let mut resilience = structural_bonus(cand, fsms);
-    if config.sat_probe && corruption > 0.0 {
+    if let Some(orig_view) = orig_view.filter(|_| corruption > 0.0) {
         let mut view = {
             let mut n = netlist.clone();
             scan::insert_full_scan(&mut n);

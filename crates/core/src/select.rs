@@ -53,8 +53,10 @@ pub enum SelectOutcome {
     Infeasible,
 }
 
-/// Selects cases with the exact ILP. Returns candidate indices, or `None`
-/// when the specification is infeasible.
+/// Selects cases with the ILP. Returns candidate indices, or `None` when
+/// the specification is infeasible. The ILP search is node-budgeted: when
+/// the budget runs out, the indices are its best incumbent, which may not
+/// be optimal.
 pub fn select_ilp(db: &Database, candidates: &[Candidate], spec: &SelectionSpec) -> Option<Vec<usize>> {
     match select_ilp_bounded(db, candidates, spec, &CancelToken::unlimited()) {
         SelectOutcome::Selected(sel) => Some(sel),
@@ -65,7 +67,10 @@ pub fn select_ilp(db: &Database, candidates: &[Candidate], spec: &SelectionSpec)
 /// Budget-aware ILP selection: the branch-and-bound polls `cancel` and, if
 /// stopped before finding any feasible cover, reports
 /// [`SelectOutcome::TimedOut`] so the caller can degrade to greedy
-/// selection instead of treating the spec as infeasible.
+/// selection instead of treating the spec as infeasible. A search stopped
+/// by `cancel` or by the ILP's node budget after finding a cover reports
+/// its best incumbent as [`SelectOutcome::Selected`], like a proven
+/// optimum.
 pub fn select_ilp_bounded(
     db: &Database,
     candidates: &[Candidate],
