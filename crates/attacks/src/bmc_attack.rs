@@ -12,8 +12,8 @@
 //! exploits ("none of the circuits can be broken using the BMC attacks").
 
 use crate::oracle::SeqOracle;
-use crate::sat_attack::{model_bits, AttackOutcome, AttackStats};
-use rtlock_governor::{CancelToken, Deadline};
+use crate::sat_attack::{model_bits, stop_token, sync, AttackOutcome, AttackStats};
+use rtlock_governor::CancelToken;
 use rtlock_netlist::{CnfBuilder, GateId, GateKind, Netlist};
 use rtlock_sat::{Budget, Lit, SolveResult, Solver};
 use std::time::{Duration, Instant};
@@ -43,17 +43,6 @@ impl Default for BmcConfig {
             max_iterations: 2_000,
             timeout: None,
             cancel: None,
-        }
-    }
-}
-
-impl BmcConfig {
-    /// The token the attack polls (cancel token tightened to the timeout).
-    fn stop_token(&self) -> CancelToken {
-        let deadline = Deadline::within(self.timeout);
-        match &self.cancel {
-            Some(t) => t.tightened(deadline),
-            None => CancelToken::with_deadline(deadline),
         }
     }
 }
@@ -121,7 +110,7 @@ pub fn bmc_attack(locked: &Netlist, original: &Netlist, config: &BmcConfig) -> A
     let oracle = SeqOracle::new(original);
     let data_inputs: Vec<GateId> =
         locked.inputs().iter().copied().filter(|g| !locked.key_inputs.contains(g)).collect();
-    let token = config.stop_token();
+    let token = stop_token(config.cancel.as_ref(), config.timeout);
 
     let mut iterations = 0usize;
     // Accumulated oracle observations: (input trace, output trace).
@@ -156,7 +145,7 @@ pub fn bmc_attack(locked: &Netlist, original: &Netlist, config: &BmcConfig) -> A
                 constrain_observation(&mut cnf, locked, keys, &data_inputs, trace, outs);
             }
         }
-        sync(&mut cnf, &mut solver, &mut drained);
+        sync(&cnf, &mut solver, &mut drained);
 
         loop {
             if token.should_stop().is_some() {
@@ -202,7 +191,7 @@ pub fn bmc_attack(locked: &Netlist, original: &Netlist, config: &BmcConfig) -> A
                         constrain_observation(&mut cnf, locked, keys, &data_inputs, &trace, &outs);
                     }
                     observations.push((trace, outs));
-                    sync(&mut cnf, &mut solver, &mut drained);
+                    sync(&cnf, &mut solver, &mut drained);
                 }
             }
         }
@@ -248,11 +237,9 @@ pub fn bmc_attack(locked: &Netlist, original: &Netlist, config: &BmcConfig) -> A
     AttackOutcome::TimedOut { iterations, elapsed: start.elapsed(), stats: bmc_stats(iterations) }
 }
 
-/// Adds clauses forcing the unrolled circuit under `keys` to reproduce an
-/// observed input/output trace.
 /// BMC attack statistics: one sequential-oracle trace query per accepted
-/// distinguishing input sequence; the BMC loop has no bit-parallel
-/// simulation stage. Deterministic for a fixed configuration.
+/// distinguishing input sequence. Deterministic for a fixed
+/// configuration.
 fn bmc_stats(iterations: usize) -> AttackStats {
     AttackStats {
         oracle_queries: iterations,
@@ -261,6 +248,8 @@ fn bmc_stats(iterations: usize) -> AttackStats {
     }
 }
 
+/// Adds clauses forcing the unrolled circuit under `keys` to reproduce an
+/// observed input/output trace.
 fn constrain_observation(
     cnf: &mut CnfBuilder,
     locked: &Netlist,
@@ -291,15 +280,6 @@ fn constrain_observation(
             }
         }
     }
-}
-
-fn sync(cnf: &mut CnfBuilder, solver: &mut Solver, drained: &mut usize) {
-    solver.reserve_vars(cnf.num_vars());
-    let clauses = cnf.clauses();
-    for c in &clauses[*drained..] {
-        solver.add_dimacs_clause(c);
-    }
-    *drained = clauses.len();
 }
 
 /// Fraction of matching output bits between the keyed locked netlist and

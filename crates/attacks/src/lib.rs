@@ -44,7 +44,6 @@
 
 pub mod bmc_attack;
 pub mod bypass;
-pub mod dip;
 pub mod features;
 pub mod ml;
 pub mod oracle;
@@ -55,7 +54,6 @@ pub mod sat_attack;
 
 pub use bmc_attack::{bmc_attack, sequential_key_accuracy, BmcConfig};
 pub use bypass::{bypass_estimate, BypassEstimate};
-pub use dip::{sat_attack_parallel, sat_attack_parallel_with, DipConfig, PrefilterConfig};
 pub use ml::{scope_attack, MlReport, SweepModel};
 pub use oracle::{CombOracle, SeqOracle};
 pub use portfolio::{

@@ -29,7 +29,6 @@
 
 use crate::bmc_attack::{bmc_attack, BmcConfig};
 use crate::bypass::{bypass_estimate, BypassEstimate};
-use crate::dip::{sat_attack_parallel, DipConfig};
 use crate::removal::{removal_attack, RemovalOutcome};
 use crate::sat_attack::{sat_attack, AttackConfig, AttackOutcome};
 use rtlock_artifacts::ArtifactStore;
@@ -100,13 +99,6 @@ pub struct PortfolioConfig {
     /// SAT attack, unless its own `sat.cache` is already set). Verdicts
     /// are byte-identical with or without it.
     pub cache: Option<Arc<ArtifactStore>>,
-    /// When set, the SAT member runs the parallel DIP pipeline
-    /// ([`sat_attack_parallel`]) under this configuration instead of the
-    /// sequential loop. The pipeline is deterministic for a fixed
-    /// configuration, so the portfolio's canonical-verdict guarantee is
-    /// unchanged — but the pipeline's outcome (iterations, counters) is a
-    /// different deterministic point than the sequential attack's.
-    pub dip: Option<DipConfig>,
 }
 
 impl Default for PortfolioConfig {
@@ -125,7 +117,6 @@ impl Default for PortfolioConfig {
             removal_tolerance: 0.0,
             seed: 0xD15_EA5E,
             cache: None,
-            dip: None,
         }
     }
 }
@@ -308,10 +299,7 @@ fn run_member(
                     cache: config.sat.cache.clone().or_else(|| config.cache.clone()),
                     ..config.sat.clone()
                 };
-                MemberOutcome::Attack(match &config.dip {
-                    Some(dip) => sat_attack_parallel(locked, original, &cfg, dip),
-                    None => sat_attack(locked, original, &cfg),
-                })
+                MemberOutcome::Attack(sat_attack(locked, original, &cfg))
             }
             None => MemberOutcome::Unavailable("no combinational scan view".into()),
         },
@@ -381,47 +369,8 @@ pub fn portfolio_attack(
     executor: &Executor,
     token: &CancelToken,
 ) -> PortfolioVerdict {
-    let n = config.members.len();
-    // Each member gets a child token: the coordinator can cancel it
-    // individually, while a fired run-wide `token` still reaches everyone.
-    let children: Vec<CancelToken> = (0..n).map(|_| token.child()).collect();
-    let slots: Vec<Mutex<Option<MemberOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let best: Mutex<Option<usize>> = Mutex::new(None);
-
-    let ((), panics) = executor.scope(token, |scope| {
-        for (i, &member) in config.members.iter().enumerate() {
-            let (children, slots, best) = (&children, &slots, &best);
-            scope.spawn(move |_| {
-                let outcome = run_member(member, target, config, &children[i]);
-                if resolves(&outcome) {
-                    let mut b = best.lock().expect("portfolio winner lock");
-                    if b.is_none_or(|w| i < w) {
-                        *b = Some(i);
-                        // Losers (lower priority than the new winner) stop
-                        // now; members above the winner keep running.
-                        for t in &children[i + 1..] {
-                            t.cancel();
-                        }
-                    }
-                }
-                *slots[i].lock().expect("portfolio slot lock") = Some(outcome);
-            });
-        }
-    });
-
-    let mut panic_messages = panics.into_iter().map(|p| p.message);
-    let outcomes: Vec<MemberOutcome> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().expect("portfolio slot lock").unwrap_or_else(|| {
-                MemberOutcome::Crashed(
-                    panic_messages.next().unwrap_or_else(|| "member did not report".into()),
-                )
-            })
-        })
-        .collect();
-    let winner = best.into_inner().expect("portfolio winner lock");
-    assemble_verdict(&config.members, outcomes, winner)
+    let nothing_to_replay = vec![None; config.members.len()];
+    portfolio_attack_resumable(target, config, executor, token, &nothing_to_replay)
 }
 
 /// Resumes a portfolio run from a campaign journal: members whose
@@ -444,6 +393,8 @@ pub fn portfolio_attack_resumable(
 ) -> PortfolioVerdict {
     assert_eq!(prior.len(), config.members.len(), "prior outcomes misaligned with members");
     let n = config.members.len();
+    // Each member gets a child token: the coordinator can cancel it
+    // individually, while a fired run-wide `token` still reaches everyone.
     let children: Vec<CancelToken> = (0..n).map(|_| token.child()).collect();
     let slots: Vec<Mutex<Option<MemberOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
     // A replayed resolution seeds the race: members below it still run to
@@ -472,6 +423,8 @@ pub fn portfolio_attack_resumable(
                     let mut b = best.lock().expect("portfolio winner lock");
                     if b.is_none_or(|w| i < w) {
                         *b = Some(i);
+                        // Losers (lower priority than the new winner) stop
+                        // now; members above the winner keep running.
                         for t in &children[i + 1..] {
                             t.cancel();
                         }

@@ -46,15 +46,13 @@ impl Default for AttackConfig {
     }
 }
 
-impl AttackConfig {
-    /// The token the attack polls: the configured cancel token tightened to
-    /// the wall-clock timeout, or a pure deadline token without one.
-    pub(crate) fn stop_token(&self) -> CancelToken {
-        let deadline = Deadline::within(self.timeout);
-        match &self.cancel {
-            Some(t) => t.tightened(deadline),
-            None => CancelToken::with_deadline(deadline),
-        }
+/// The token an attack polls: its cancel token tightened to its
+/// wall-clock timeout, or a pure deadline token without one.
+pub(crate) fn stop_token(cancel: Option<&CancelToken>, timeout: Option<Duration>) -> CancelToken {
+    let deadline = Deadline::within(timeout);
+    match cancel {
+        Some(t) => t.tightened(deadline),
+        None => CancelToken::with_deadline(deadline),
     }
 }
 
@@ -68,14 +66,20 @@ impl AttackConfig {
 /// out of every canonical form, like `elapsed`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttackStats {
-    /// Oracle invocations (one batch `query64` sweep counts once).
+    /// Oracle invocations: one per distinguishing input pattern (or, for
+    /// BMC, per distinguishing input sequence).
     pub oracle_queries: usize,
-    /// Input patterns evaluated by bit-parallel simulation (64 per sweep).
+    /// Input patterns evaluated by bit-parallel simulation. No attack
+    /// simulates patterns, so this reads 0 everywhere. It stays because
+    /// campaign journals store canonical bodies verbatim: dropping it from
+    /// the `simulated=…` fragment would change the journal format.
     pub patterns_simulated: usize,
     /// Distinguishing patterns whose I/O constraints entered the miter.
     pub dips_accepted: usize,
-    /// Candidate patterns discarded (duplicates from parallel miners,
-    /// pre-filter lanes that no longer distinguish any candidate).
+    /// Candidate patterns discarded before entering the miter. Every
+    /// attack accepts each pattern it mines, so this reads 0 everywhere;
+    /// it stays in the `dips=A+R` fragment for the same journal-format
+    /// reason as `patterns_simulated`.
     pub dips_rejected: usize,
     /// Wall-clock time of each DIP round, in round order. Telemetry only:
     /// never part of canonical renderings.
@@ -232,7 +236,7 @@ pub fn sat_attack_with<S: SatBackend>(
     let mut solver = S::new();
     let mut drained = 0usize;
     let cache = config.cache.as_deref();
-    let token = config.stop_token();
+    let token = stop_token(config.cancel.as_ref(), config.timeout);
 
     // Shared x variables and two key copies.
     let x_vars: Vec<i32> = problem.data_inputs.iter().map(|_| cnf.fresh_var()).collect();
@@ -255,7 +259,7 @@ pub fn sat_attack_with<S: SatBackend>(
     let act = cnf.fresh_var();
     cnf.add_clause(&[-act, any_diff]);
 
-    sync(&mut cnf, &mut solver, &mut drained);
+    sync(&cnf, &mut solver, &mut drained);
 
     let mut iterations = 0usize;
     let mut stats = AttackStats::default();
@@ -331,7 +335,7 @@ pub fn sat_attack_with<S: SatBackend>(
                 stats.dips_accepted += 1;
                 stats.round_wall_clock.push(round_start.elapsed());
                 round_start = Instant::now();
-                sync(&mut cnf, &mut solver, &mut drained);
+                sync(&cnf, &mut solver, &mut drained);
             }
         }
         if token.should_stop().is_some() {
@@ -443,15 +447,6 @@ impl<'n> AttackProblem<'n> {
             .filter_map(|(bind, &v)| bind.map(|g| (g, v)))
             .collect()
     }
-
-    /// The oracle assignment for one 64-lane sweep over the data inputs.
-    pub(crate) fn bind_sweep(&self, words: &[u64]) -> Vec<(GateId, u64)> {
-        self.oracle_bind
-            .iter()
-            .zip(words)
-            .filter_map(|(bind, &w)| bind.map(|g| (g, w)))
-            .collect()
-    }
 }
 
 /// Encodes one I/O constraint copy: a fresh circuit copy with inputs
@@ -505,7 +500,9 @@ pub(crate) fn model_bits<S: SatBackend>(solver: &S, vars: &[i32]) -> Result<Vec<
         .collect()
 }
 
-fn sync<S: SatBackend>(cnf: &mut CnfBuilder, solver: &mut S, drained: &mut usize) {
+/// Feeds the clauses `cnf` gained since the last call into `solver`;
+/// `drained` counts the clauses already fed.
+pub(crate) fn sync<S: SatBackend>(cnf: &CnfBuilder, solver: &mut S, drained: &mut usize) {
     solver.reserve_vars(cnf.num_vars());
     let clauses = cnf.clauses();
     for c in &clauses[*drained..] {

@@ -39,7 +39,8 @@ options:
                       journal resumes the campaign it records)
   --designs <a,b,c>   named benchmarks from the design catalog
   --tiny <n>          n built-in synthetic designs (self-test corpus)
-  --threads <n>       worker threads (default 1; 0 = one per core)
+  --threads <n>       worker threads (default 1; 0 = one per core; at
+                      most 256)
   --retries <n>       max attempts per design (default 1 = no retry)
   --retry-base-ms <n> base backoff in milliseconds (default 10)
   --attacks           race the attack portfolio on each locked design
@@ -63,8 +64,9 @@ struct Args {
     crash_after: Option<u64>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+/// Parses the arguments after the program name. `Err("")` asks for the
+/// help text; any other `Err` is a usage error.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut journal = None;
     let mut designs = Vec::new();
     let mut tiny = 0usize;
@@ -123,6 +125,9 @@ fn parse_args() -> Result<Args, String> {
     if designs.is_empty() && tiny == 0 {
         return Err("need --designs or --tiny".into());
     }
+    if threads > rtlock_exec::MAX_THREADS {
+        return Err(format!("--threads: at most {} workers", rtlock_exec::MAX_THREADS));
+    }
     Ok(Args { journal, designs, tiny, threads, retries, retry_base_ms, attacks, out, crash_after })
 }
 
@@ -158,7 +163,8 @@ endmodule"#,
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(msg) => {
             if msg.is_empty() {
@@ -256,5 +262,30 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(threads: usize) -> Result<Args, String> {
+        let argv = ["--journal", "c.journal", "--tiny", "1", "--threads", &threads.to_string()];
+        parse_args(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn thread_counts_up_to_the_cap_are_accepted() {
+        for threads in [0, 1, 8, rtlock_exec::MAX_THREADS] {
+            assert_eq!(parse(threads).expect("valid thread count").threads, threads);
+        }
+    }
+
+    #[test]
+    fn thread_counts_above_the_cap_are_usage_errors() {
+        for threads in [rtlock_exec::MAX_THREADS + 1, 100_000, usize::MAX] {
+            let err = parse(threads).err().expect("rejected");
+            assert!(err.starts_with("--threads: at most"), "{err}");
+        }
     }
 }

@@ -23,6 +23,7 @@
 //!   named stage, deterministically, so the degradation ladder itself is
 //!   testable.
 
+use rtlock_exec::panic_message;
 use rtlock_governor::{CancelToken, Deadline};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -451,17 +452,6 @@ impl Governor {
             std::process::abort();
         }
         out
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -81,6 +81,12 @@ pub struct TaskPanic {
     pub message: String,
 }
 
+/// The most workers a command-line tool may request. [`Executor::scope`]
+/// spawns one scoped thread per worker, and `std::thread::Scope::spawn`
+/// panics when the operating system refuses a thread, so a larger count
+/// from user input must be rejected before it reaches [`Executor::new`].
+pub const MAX_THREADS: usize = 256;
+
 /// A work-stealing thread pool configuration.
 ///
 /// Workers are spawned as *scoped* threads per [`Executor::scope`] call
@@ -495,9 +501,9 @@ fn worker_loop(shared: &Shared<'_>, me: usize) {
     }
 }
 
-/// Best-effort extraction of a panic payload's message (the same shape the
-/// flow governor uses). Public so sequential supervisors outside the pool
-/// can report captured panics with identical wording.
+/// Best-effort extraction of a panic payload's message. Public so the
+/// flow governor and sequential supervisors outside the pool report
+/// captured panics with the pool's wording.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()

@@ -18,8 +18,9 @@ const USAGE: &str = "usage: rtlock-fuzz [options]
 options:
   --seed <n>          base seed for the campaign (default 1)
   --iters <n>         modules to generate and check (default 500)
-  --jobs <n>          worker threads (default 1; 0 = one per core);
-                      the report and corpus are identical at any job count
+  --jobs <n>          worker threads (default 1; 0 = one per core; at
+                      most 256); the report and corpus are identical at
+                      any job count
   --time-budget <s>   wall-clock budget in seconds (default unbounded)
   --cycles <n>        simulation cycles per module (default 12)
   --corpus-dir <dir>  where to persist shrunk reproducers
@@ -47,7 +48,9 @@ struct Args {
     crash_after: Option<u64>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the arguments after the program name. `Err("")` asks for the
+/// help text; any other `Err` is a usage error.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut cfg = FuzzConfig { iters: 500, ..FuzzConfig::default() };
     let mut time_budget = None;
     let mut inject_opt_bug = false;
@@ -57,7 +60,6 @@ fn parse_args() -> Result<Args, String> {
     let mut journal: Option<std::path::PathBuf> = None;
     let mut crash_after: Option<u64> = None;
 
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let value = |i: &mut usize, flag: &str| -> Result<String, String> {
         *i += 1;
@@ -119,11 +121,15 @@ fn parse_args() -> Result<Args, String> {
     if crash_after.is_some() && journal.is_none() {
         return Err("--crash-after-events requires --journal".into());
     }
+    if jobs > rtlock_exec::MAX_THREADS {
+        return Err(format!("--jobs: at most {} workers", rtlock_exec::MAX_THREADS));
+    }
     Ok(Args { cfg, time_budget, inject_opt_bug, jobs, journal, crash_after })
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(msg) => {
             if msg.is_empty() {
@@ -146,6 +152,11 @@ fn main() -> ExitCode {
         None => RunBudget::default(),
     };
     let governor = rtlock::governor::Governor::start(budget);
+    let executor = if args.jobs == 0 {
+        rtlock_exec::Executor::machine_sized()
+    } else {
+        rtlock_exec::Executor::new(args.jobs)
+    };
     let started = std::time::Instant::now();
     let report = if let Some(path) = &args.journal {
         let (mut journal, recovery) = match rtlock::journal::CampaignJournal::open(path) {
@@ -166,11 +177,6 @@ fn main() -> ExitCode {
         if let Some(n) = args.crash_after {
             journal.set_crash_after(n);
         }
-        let executor = if args.jobs == 0 {
-            rtlock_exec::Executor::machine_sized()
-        } else {
-            rtlock_exec::Executor::new(args.jobs.max(1))
-        };
         rtlock_fuzz::run_fuzz_resumable(
             &args.cfg,
             &executor,
@@ -178,14 +184,7 @@ fn main() -> ExitCode {
             &mut journal,
             &recovery.events,
         )
-    } else if args.jobs == 1 {
-        rtlock_fuzz::run_fuzz(&args.cfg, governor.run_token())
     } else {
-        let executor = if args.jobs == 0 {
-            rtlock_exec::Executor::machine_sized()
-        } else {
-            rtlock_exec::Executor::new(args.jobs)
-        };
         rtlock_fuzz::run_fuzz_parallel(&args.cfg, &executor, governor.run_token())
     };
     let elapsed = started.elapsed();
@@ -232,5 +231,30 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn job_counts_up_to_the_cap_are_accepted() {
+        for jobs in [0, 1, 8, rtlock_exec::MAX_THREADS] {
+            let args = parse(&["--jobs", &jobs.to_string()]).expect("valid job count");
+            assert_eq!(args.jobs, jobs);
+        }
+    }
+
+    #[test]
+    fn job_counts_above_the_cap_are_usage_errors() {
+        for jobs in [rtlock_exec::MAX_THREADS + 1, 100_000, usize::MAX] {
+            let err = parse(&["--jobs", &jobs.to_string()]).err().expect("rejected");
+            assert!(err.starts_with("--jobs: at most"), "{err}");
+        }
     }
 }

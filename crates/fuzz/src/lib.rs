@@ -158,40 +158,8 @@ pub fn run_fuzz_parallel(
     executor: &rtlock_exec::Executor,
     cancel: &CancelToken,
 ) -> FuzzReport {
-    // Workers fuzz without persisting; the merge pass below writes the
-    // corpus in iteration order on the calling thread.
-    let worker_cfg = FuzzConfig { corpus_dir: None, ..cfg.clone() };
-    let chunks: Vec<std::ops::Range<u64>> = (0..cfg.iters)
-        .step_by(CHUNK_ITERS.max(1) as usize)
-        .map(|lo| lo..(lo + CHUNK_ITERS).min(cfg.iters))
-        .collect();
-    let results = executor.map(cancel, chunks, |_, range, token| {
-        run_range(&worker_cfg, range, token)
-    });
-
-    let mut report = FuzzReport::default();
-    for res in results {
-        match res {
-            Ok(chunk) => {
-                report.executed += chunk.executed;
-                report.incomplete += chunk.incomplete;
-                report.divergences.extend(chunk.divergences);
-                report.cancelled |= chunk.cancelled;
-            }
-            Err(rtlock_exec::TaskError::Cancelled(_)) => report.cancelled = true,
-            // The pool already drained cleanly; surface the worker's panic
-            // to the caller just as a sequential run would have.
-            Err(rtlock_exec::TaskError::Panicked(msg)) => {
-                panic!("fuzz worker panicked: {msg}")
-            }
-        }
-    }
-    if let Some(dir) = &cfg.corpus_dir {
-        for d in &mut report.divergences {
-            d.persisted = corpus::persist(dir, d.seed, d.layer, &d.shrunk_source).ok();
-        }
-    }
-    report
+    let nothing_to_replay = vec![None; chunk_ranges(cfg).len()];
+    fuzz_chunks(cfg, executor, cancel, nothing_to_replay, |_, _| {})
 }
 
 /// Event kind marking a chunk's divergences durable (one per divergence,
@@ -219,76 +187,93 @@ pub fn run_fuzz_resumable(
     journal: &mut rtlock::journal::CampaignJournal,
     recovered: &[rtlock_store::Event],
 ) -> FuzzReport {
-    let chunks: Vec<std::ops::Range<u64>> = (0..cfg.iters)
-        .step_by(CHUNK_ITERS.max(1) as usize)
-        .map(|lo| lo..(lo + CHUNK_ITERS).min(cfg.iters))
-        .collect();
-    let prior = replayed_chunks(cfg, recovered, chunks.len());
-
-    let worker_cfg = FuzzConfig { corpus_dir: None, ..cfg.clone() };
-    let todo: Vec<(usize, std::ops::Range<u64>)> = chunks
-        .iter()
-        .cloned()
-        .enumerate()
-        .filter(|(i, _)| prior[*i].is_none())
-        .collect();
+    let prior = replayed_chunks(cfg, recovered, chunk_ranges(cfg).len());
     let sink = std::sync::Mutex::new(journal);
-    let results = executor.map(cancel, todo, |_, (chunk_index, range), token| {
-        let chunk = run_range(&worker_cfg, range.clone(), token);
-        if !chunk.cancelled && token.should_stop().is_none() {
-            let mut journal = sink.lock().expect("journal lock");
-            let append = |j: &mut rtlock::journal::CampaignJournal,
-                          e: &rtlock_store::Event| {
-                if let Err(err) = j.append(e) {
-                    eprintln!("fuzz journal: append failed ({err}); continuing unjournaled");
-                }
-            };
-            for d in &chunk.divergences {
-                let event = rtlock_store::Event::new(KIND_FUZZ_DIV)
+    fuzz_chunks(cfg, executor, cancel, prior, |chunk_index, chunk| {
+        let mut journal = sink.lock().expect("journal lock");
+        let mut append = |e: &rtlock_store::Event| {
+            if let Err(err) = journal.append(e) {
+                eprintln!("fuzz journal: append failed ({err}); continuing unjournaled");
+            }
+        };
+        for d in &chunk.divergences {
+            append(
+                &rtlock_store::Event::new(KIND_FUZZ_DIV)
                     .field("chunk", chunk_index.to_string())
                     .field("seed", d.seed.to_string())
                     .field("layer", d.layer.name())
                     .field("detail", &d.detail)
-                    .field("source", &d.shrunk_source);
-                append(&mut journal, &event);
-            }
-            let event = rtlock_store::Event::new(KIND_FUZZ_CHUNK)
+                    .field("source", &d.shrunk_source),
+            );
+        }
+        append(
+            &rtlock_store::Event::new(KIND_FUZZ_CHUNK)
                 .field("index", chunk_index.to_string())
                 .field("executed", chunk.executed.to_string())
-                .field("incomplete", chunk.incomplete.to_string());
-            append(&mut journal, &event);
+                .field("incomplete", chunk.incomplete.to_string()),
+        );
+    })
+}
+
+/// The campaign's iteration space cut into `CHUNK_ITERS`-sized contiguous
+/// ranges, in iteration order.
+fn chunk_ranges(cfg: &FuzzConfig) -> Vec<std::ops::Range<u64>> {
+    (0..cfg.iters)
+        .step_by(CHUNK_ITERS.max(1) as usize)
+        .map(|lo| lo..(lo + CHUNK_ITERS).min(cfg.iters))
+        .collect()
+}
+
+/// The shared engine behind the parallel runners: runs every chunk whose
+/// `prior` slot is empty on `executor`, hands each chunk that finished
+/// uncancelled to `on_chunk` (on its worker, with the chunk index), then
+/// merges replayed and fresh chunk reports in chunk order and persists
+/// the corpus in iteration order on the calling thread.
+fn fuzz_chunks<O>(
+    cfg: &FuzzConfig,
+    executor: &rtlock_exec::Executor,
+    cancel: &CancelToken,
+    prior: Vec<Option<FuzzReport>>,
+    on_chunk: O,
+) -> FuzzReport
+where
+    O: Fn(usize, &FuzzReport) + Sync,
+{
+    let chunks = chunk_ranges(cfg);
+    debug_assert_eq!(prior.len(), chunks.len());
+    // Workers fuzz without persisting; the merge pass below writes the
+    // corpus in iteration order on the calling thread.
+    let worker_cfg = FuzzConfig { corpus_dir: None, ..cfg.clone() };
+    let todo: Vec<usize> = (0..chunks.len()).filter(|&i| prior[i].is_none()).collect();
+    let results = executor.map(cancel, todo, |_, chunk_index, token| {
+        let chunk = run_range(&worker_cfg, chunks[chunk_index].clone(), token);
+        if !chunk.cancelled && token.should_stop().is_none() {
+            on_chunk(chunk_index, &chunk);
         }
-        (chunk_index, chunk)
+        chunk
     });
 
-    let mut fresh: std::collections::HashMap<usize, FuzzReport> = std::collections::HashMap::new();
-    let mut cancelled = false;
-    let mut worker_panic: Option<String> = None;
-    for res in results {
-        match res {
-            Ok((chunk_index, chunk)) => {
-                fresh.insert(chunk_index, chunk);
-            }
-            Err(rtlock_exec::TaskError::Cancelled(_)) => cancelled = true,
-            Err(rtlock_exec::TaskError::Panicked(msg)) => worker_panic = Some(msg),
-        }
-    }
-    if let Some(msg) = worker_panic {
-        panic!("fuzz worker panicked: {msg}");
-    }
-
-    let mut report = FuzzReport { cancelled, ..FuzzReport::default() };
-    for (i, _) in chunks.iter().enumerate() {
-        let chunk = match &prior[i] {
+    let mut fresh = results.into_iter();
+    let mut report = FuzzReport::default();
+    for slot in prior {
+        let chunk = match slot {
             Some(replay) => replay,
-            None => match fresh.get(&i) {
-                Some(chunk) => chunk,
-                None => continue, // cancelled before this chunk ran
+            None => match fresh.next().expect("one result per chunk that ran") {
+                Ok(chunk) => chunk,
+                Err(rtlock_exec::TaskError::Cancelled(_)) => {
+                    report.cancelled = true;
+                    continue;
+                }
+                // The pool already drained cleanly; surface the worker's
+                // panic to the caller just as a sequential run would have.
+                Err(rtlock_exec::TaskError::Panicked(msg)) => {
+                    panic!("fuzz worker panicked: {msg}")
+                }
             },
         };
         report.executed += chunk.executed;
         report.incomplete += chunk.incomplete;
-        report.divergences.extend(chunk.divergences.iter().cloned());
+        report.divergences.extend(chunk.divergences);
         report.cancelled |= chunk.cancelled;
     }
     if let Some(dir) = &cfg.corpus_dir {

@@ -47,4 +47,4 @@ pub use gate::{Gate, GateId, GateKind};
 pub use netlist::{CycleError, Netlist, Port};
 pub use ppa::{PpaConfig, PpaReport};
 pub use scoap::Scoap;
-pub use sim::{NetSim, SweepRng};
+pub use sim::NetSim;

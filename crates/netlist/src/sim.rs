@@ -154,25 +154,6 @@ impl<'n> NetSim<'n> {
         self.netlist.outputs().iter().map(|&(_, g)| self.values[g.index()]).collect()
     }
 
-    /// Loads one 64-pattern sweep: every `(input, word)` pair drives 64
-    /// independent patterns, one per bit lane; inputs not listed keep
-    /// their current value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a listed gate is not an input.
-    pub fn load_sweep(&mut self, assigns: &[(GateId, u64)]) {
-        for &(g, w) in assigns {
-            self.set_input(g, w);
-        }
-    }
-
-    /// Extracts one lane (0..64) of a net as a boolean.
-    pub fn lane(&self, gate: GateId, lane: usize) -> bool {
-        debug_assert!(lane < 64);
-        self.values[gate.index()] >> lane & 1 == 1
-    }
-
     /// Estimates per-gate switching activity: the fraction of lanes in
     /// which each gate toggled between two random evaluation rounds,
     /// averaged over `rounds` rounds. Deterministic for a given `seed`.
@@ -215,47 +196,6 @@ impl<'n> NetSim<'n> {
         }
         let denom = (rounds.max(2) as f64 - 1.0) * 64.0;
         toggles.into_iter().map(|t| t as f64 / denom).collect()
-    }
-}
-
-/// Deterministic 64-lane pattern generator for simulation sweeps
-/// (xorshift64* over a SplitMix64-hashed seed). Every word is 64
-/// independent input patterns; [`SweepRng::biased_word`] skews the
-/// per-lane bit probability for SCOAP-guided pattern generation.
-#[derive(Debug, Clone)]
-pub struct SweepRng(u64);
-
-impl SweepRng {
-    /// Seeds the stream (any seed, including 0, is valid).
-    pub fn new(seed: u64) -> SweepRng {
-        // SplitMix64 scrambles low-entropy seeds before xorshift.
-        let mut x = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        SweepRng((x ^ (x >> 31)) | 1)
-    }
-
-    /// Next uniform 64-pattern word (each lane bit is fair).
-    pub fn word(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Next biased word: `bias > 0` ORs `bias` uniform words (lane bits
-    /// lean toward 1 with probability `1 - 2^-(bias+1)`), `bias < 0` ANDs
-    /// them (lean toward 0), `bias == 0` is uniform.
-    pub fn biased_word(&mut self, bias: i8) -> u64 {
-        let mut w = self.word();
-        for _ in 0..bias.unsigned_abs() {
-            if bias > 0 {
-                w |= self.word();
-            } else {
-                w &= self.word();
-            }
-        }
-        w
     }
 }
 

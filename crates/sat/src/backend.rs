@@ -6,7 +6,7 @@
 //! what lets the bench harness demand *identical recovered keys* from two
 //! implementations, not just similar timings.
 
-use crate::solver::{Budget, Diversification, Stats};
+use crate::solver::{Budget, Stats};
 use crate::types::{Lit, SolveResult, Var};
 
 /// The incremental CNF-solver interface the rest of the workspace
@@ -26,11 +26,6 @@ pub trait SatBackend {
     fn add_clause(&mut self, lits: &[Lit]) -> bool;
     /// Sets the resource budget for subsequent solves.
     fn set_budget(&mut self, budget: Budget);
-    /// Applies decision diversification (seeded phases + random decision
-    /// fraction) for parallel DIP mining. Backends without the machinery
-    /// may ignore it — every miner then searches identically, which is
-    /// slower but still correct and deterministic.
-    fn set_diversification(&mut self, _div: Diversification) {}
     /// Cumulative statistics.
     fn stats(&self) -> Stats;
     /// Solves under assumptions.
@@ -57,9 +52,6 @@ impl SatBackend for crate::Solver {
     }
     fn set_budget(&mut self, budget: Budget) {
         crate::Solver::set_budget(self, budget);
-    }
-    fn set_diversification(&mut self, div: Diversification) {
-        crate::Solver::set_diversification(self, div);
     }
     fn stats(&self) -> Stats {
         crate::Solver::stats(self)

@@ -42,5 +42,5 @@ pub mod solver;
 pub mod types;
 
 pub use backend::SatBackend;
-pub use solver::{Budget, Diversification, Solver, Stats, INPROCESS_MIN_VARS};
+pub use solver::{Budget, Solver, Stats, INPROCESS_MIN_VARS};
 pub use types::{Lit, SolveResult, Var};

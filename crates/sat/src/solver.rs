@@ -127,44 +127,6 @@ pub struct Stats {
     pub verified_models: u64,
 }
 
-/// Decision diversification for portfolio/parallel DIP mining.
-///
-/// A diversified solver explores a different part of the search tree than
-/// an undiversified one while remaining *fully deterministic*: the seed
-/// fixes the initial phase polarity of every variable and drives a
-/// splitmix/xorshift stream that redirects a fixed fraction of decisions
-/// to a pseudo-random unassigned variable instead of the VSIDS top.
-/// Identical seeds and inputs reproduce identical searches, so a fleet of
-/// miners with distinct seeds is reproducible run-to-run.
-///
-/// The default (`seed == 0`, `random_decision_permille == 0`) is inert:
-/// the solver behaves bit-identically to one that never heard of
-/// diversification.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Diversification {
-    /// Seeds the initial phase polarity of every variable (0 = keep the
-    /// solver's default all-false phases).
-    pub seed: u64,
-    /// Per-mille of decisions redirected to a seeded pseudo-random
-    /// unassigned variable (0 = pure VSIDS).
-    pub random_decision_permille: u16,
-}
-
-impl Diversification {
-    /// `true` when any diversification knob is set.
-    pub fn is_active(&self) -> bool {
-        self.seed != 0 || self.random_decision_permille != 0
-    }
-}
-
-/// SplitMix64 — the one-shot seeding hash behind [`Diversification`].
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// One watch-list entry: the clause plus a cached "blocker" literal from
 /// it. If the blocker is already true the clause is satisfied and the
 /// arena is never touched — the hot-path win of the MiniSat watcher scheme.
@@ -228,10 +190,6 @@ pub struct Solver {
     pub(crate) simplified_at: usize,
     /// Scratch stack for recursive clause minimization.
     pub(crate) analyze_stack: Vec<Lit>,
-    /// Decision diversification (inert by default).
-    pub(crate) div: Diversification,
-    /// Deterministic xorshift stream for the random-decision fraction.
-    pub(crate) div_rng: u64,
     /// Instances with fewer variables than this skip the glue-EMA restart
     /// signal, learnt-database reduction and inter-restart inprocessing:
     /// on tiny formulas the bookkeeping costs more than the search it
@@ -284,8 +242,6 @@ impl Solver {
             reduce_limit: 2000,
             simplified_at: 0,
             analyze_stack: Vec::new(),
-            div: Diversification::default(),
-            div_rng: 0,
             inproc_min_vars: INPROCESS_MIN_VARS,
         }
     }
@@ -295,26 +251,11 @@ impl Solver {
         self.budget = budget;
     }
 
-    /// Applies decision diversification: reseeds the saved phase of every
-    /// existing variable from `div.seed` (phases of variables allocated
-    /// later are seeded on creation) and arms the random-decision
-    /// fraction. Call once, right after loading the formula; an inert
-    /// [`Diversification::default`] leaves the solver bit-identical to an
-    /// undiversified one.
-    pub fn set_diversification(&mut self, div: Diversification) {
-        self.div = div;
-        self.div_rng = splitmix64(div.seed) | 1;
-        if div.seed != 0 {
-            for v in 0..self.phase.len() {
-                self.phase[v] = splitmix64(div.seed ^ (v as u64)) & 1 == 1;
-            }
-        }
-    }
-
     /// Sets the variable-count threshold below which the solver skips
     /// glue-EMA restarts, learnt reduction and inter-restart
     /// simplification. `0` disables the gate; the default is
     /// [`INPROCESS_MIN_VARS`].
+    #[cfg(test)]
     pub fn set_inprocessing_threshold(&mut self, vars: usize) {
         self.inproc_min_vars = vars;
     }
@@ -342,11 +283,7 @@ impl Solver {
         self.level.push(0);
         self.reason.push(CREF_NONE);
         self.activity.push(0.0);
-        self.phase.push(if self.div.seed != 0 {
-            splitmix64(self.div.seed ^ (v.0 as u64)) & 1 == 1
-        } else {
-            false
-        });
+        self.phase.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.seen.push(0);
@@ -974,31 +911,14 @@ impl Solver {
                         }
                     }
                 }
-                // Pick a branching variable: a seeded pseudo-random probe
-                // for the diversified fraction, the VSIDS top otherwise.
-                // The probe leaves the heap untouched — the probed
-                // variable is skipped by later pops once assigned.
-                let mut next = None;
-                if self.div.random_decision_permille > 0 && self.num_vars() > 0 {
-                    self.div_rng ^= self.div_rng << 13;
-                    self.div_rng ^= self.div_rng >> 7;
-                    self.div_rng ^= self.div_rng << 17;
-                    if self.div_rng % 1000 < u64::from(self.div.random_decision_permille) {
-                        let probe = Var(((self.div_rng >> 16) % self.num_vars() as u64) as u32);
-                        if self.assign[probe.index()] == 0 {
-                            next = Some(probe);
-                        }
+                // Pick a branching variable: the VSIDS top.
+                let next = loop {
+                    match self.heap_pop() {
+                        Some(v) if self.assign[v.index()] == 0 => break Some(v),
+                        Some(_) => continue,
+                        None => break None,
                     }
-                }
-                if next.is_none() {
-                    next = loop {
-                        match self.heap_pop() {
-                            Some(v) if self.assign[v.index()] == 0 => break Some(v),
-                            Some(_) => continue,
-                            None => break None,
-                        }
-                    };
-                }
+                };
                 match next {
                     None => return Some(SolveResult::Sat),
                     Some(v) => {
@@ -1369,51 +1289,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn inert_diversification_changes_nothing() {
-        let run = |divert: bool| {
-            let mut s = Solver::new();
-            php(&mut s, 5);
-            if divert {
-                s.set_diversification(Diversification::default());
-            }
-            let r = s.solve(&[]);
-            (r, s.stats())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn diversified_solvers_agree_on_verdicts_and_are_deterministic() {
-        for seed in [1u64, 7, 0xDEAD] {
-            let run = || {
-                let mut s = Solver::new();
-                php(&mut s, 6);
-                s.set_diversification(Diversification {
-                    seed,
-                    random_decision_permille: 50,
-                });
-                let r = s.solve(&[]);
-                (r, s.stats())
-            };
-            let (r1, st1) = run();
-            let (r2, st2) = run();
-            assert_eq!(r1, SolveResult::Unsat, "php is UNSAT under any seed");
-            assert_eq!((r1, st1), (r2, st2), "seed {seed} must reproduce");
-        }
-    }
-
-    #[test]
-    fn diversified_sat_models_stay_valid() {
-        let mut s = Solver::new();
-        for c in [[1, 2, 3], [-1, -2, 3], [1, -3, 2], [-2, 3, 1]] {
-            s.add_dimacs_clause(&c);
-        }
-        s.set_diversification(Diversification { seed: 99, random_decision_permille: 300 });
-        assert_eq!(s.solve(&[]), SolveResult::Sat);
-        assert!(s.verify_model());
     }
 
     #[test]
