@@ -9,8 +9,8 @@
 //! * [`prune`] — dataflow-guided key-space partitioning for the SAT
 //!   attack and taint-justified removal candidates;
 //! * [`bypass`] — bypass-attack cost estimation;
-//! * [`portfolio`] — deterministic parallel portfolio racing the suite
-//!   under one budget;
+//! * [`portfolio`] — deterministic portfolio running the suite in
+//!   priority order under one budget;
 //! * [`oracle`] — the activated-chip oracles the oracle-guided attacks use.
 //!
 //! # Examples
@@ -57,8 +57,8 @@ pub use bypass::{bypass_estimate, BypassEstimate};
 pub use ml::{scope_attack, MlReport, SweepModel};
 pub use oracle::{CombOracle, SeqOracle};
 pub use portfolio::{
-    portfolio_attack, portfolio_attack_resumable, portfolio_attack_sequential, MemberOutcome,
-    PortfolioConfig, PortfolioMember, PortfolioTarget, PortfolioVerdict, ReplayedMember,
+    portfolio_attack_sequential, MemberOutcome, PortfolioConfig, PortfolioMember,
+    PortfolioTarget, PortfolioVerdict,
 };
 pub use prune::{dataflow_removal_candidates, sat_attack_pruned, PrunedAttack, RemovalJustification};
 pub use removal::{removal_attack, RemovalOutcome};

@@ -1,42 +1,36 @@
-//! Deterministic portfolio attack: race the whole attack suite, keep the
-//! sequential verdict.
+//! Deterministic portfolio attack: run the attack suite in priority
+//! order, keep the first decisive verdict.
 //!
-//! A portfolio runs several attacks on the same locked design at once and
-//! takes the first decisive answer — standard practice for SAT-style
-//! workloads where attack runtimes vary by orders of magnitude. The naive
-//! version is nondeterministic: whichever attack wins the wall-clock race
-//! determines the verdict. This module pins the semantics down so the
-//! parallel run is *byte-identical* to a sequential one:
+//! A portfolio runs several attacks on the same locked design under one
+//! budget and reports the highest-priority decisive answer:
 //!
 //! * Members are listed in **priority order** (index 0 strongest claim).
 //! * A member **resolves** when it produces a decisive break — a recovered
 //!   key, a successful point-function removal, or a feasible bypass.
 //!   Timeouts, infeasibility and foiled analyses do not resolve.
 //! * The **winner** is the lowest-index member that resolved. Members at
-//!   higher indices are cancelled as soon as a lower one resolves and are
-//!   always normalized to [`MemberOutcome::Skipped`] in the verdict — even
-//!   if they happened to finish first on this particular schedule.
-//! * Members at indices *below* the winner are never cancelled by the
-//!   coordinator; their natural outcomes appear in the verdict.
+//!   higher indices never run and are reported as
+//!   [`MemberOutcome::Skipped`].
+//! * Members at indices *below* the winner ran to their natural outcomes,
+//!   which appear in the verdict.
 //!
-//! Under those rules the verdict depends only on the member outcomes, not
-//! on scheduling, so [`portfolio_attack`] (any thread count) and
-//! [`portfolio_attack_sequential`] agree bit-for-bit on
-//! [`PortfolioVerdict::canonical`] — which is what the determinism suite
-//! asserts. Wall-clock fields (`elapsed`) are excluded from the canonical
-//! form; callers that want determinism must also budget members by
-//! iteration counts, not timeouts.
+//! The verdict depends only on the member outcomes, so
+//! [`PortfolioVerdict::canonical`] is identical at every thread count of
+//! the catalog that calls [`portfolio_attack_sequential`] — which the
+//! determinism suite asserts through the catalog report. Wall-clock
+//! fields (`elapsed`) are excluded from the canonical form; callers that
+//! want determinism must also budget members by iteration counts, not
+//! timeouts.
 
 use crate::bmc_attack::{bmc_attack, BmcConfig};
 use crate::bypass::{bypass_estimate, BypassEstimate};
 use crate::removal::{removal_attack, RemovalOutcome};
 use crate::sat_attack::{sat_attack, AttackConfig, AttackOutcome};
 use rtlock_artifacts::ArtifactStore;
-use rtlock_exec::Executor;
 use rtlock_governor::CancelToken;
 use rtlock_netlist::Netlist;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One attack in the portfolio, in priority order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +74,7 @@ pub struct PortfolioTarget<'a> {
 /// clock.
 #[derive(Debug, Clone)]
 pub struct PortfolioConfig {
-    /// Members to race, strongest claim first.
+    /// Members to run, strongest claim first.
     pub members: Vec<PortfolioMember>,
     /// SAT attack limits. Its `cancel` field is overridden by the
     /// portfolio's per-member child token.
@@ -132,65 +126,15 @@ pub enum MemberOutcome {
     Bypass(BypassEstimate),
     /// The surface this member needs is not part of the target.
     Unavailable(String),
-    /// Cancelled (or never started) because a higher-priority member
-    /// resolved first. Always reported for members after the winner,
-    /// regardless of how far they actually got on this schedule.
+    /// Never started because a higher-priority member resolved first.
     Skipped,
-    /// The member panicked inside the worker pool.
-    Crashed(String),
-    /// The member's outcome was replayed from a campaign journal instead
-    /// of re-executed ([`portfolio_attack_resumable`]). Carries the
-    /// original outcome's exact canonical rendering plus the two facts
-    /// the verdict assembly needs, so a resumed run is byte-identical to
-    /// the uninterrupted one.
-    Replayed(ReplayedMember),
-}
-
-/// A journal-recovered member outcome (see [`MemberOutcome::Replayed`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayedMember {
-    /// The original outcome's [`MemberOutcome::canonical`] text, printed
-    /// verbatim in the resumed verdict.
-    pub rendered: String,
-    /// Whether the original outcome resolved (decisive break).
-    pub resolved: bool,
-    /// The recovered key, when the original outcome produced one.
-    pub key: Option<Vec<bool>>,
 }
 
 impl MemberOutcome {
     /// The canonical text rendering used inside
-    /// [`PortfolioVerdict::canonical`] — wall-clock free, stable, and the
-    /// exact string a journal must store to replay this outcome.
+    /// [`PortfolioVerdict::canonical`] — wall-clock free and stable.
     pub fn canonical(&self) -> String {
         canonical_outcome(self)
-    }
-
-    /// Whether this outcome is a decisive break (see the module docs).
-    pub fn resolves(&self) -> bool {
-        resolves(self)
-    }
-
-    /// The recovered key, when this outcome carries one.
-    pub fn recovered_key(&self) -> Option<Vec<bool>> {
-        outcome_key(self)
-    }
-
-    /// Retry classification, mirroring [`AttackOutcome::error_class`]:
-    /// a crashed member is `Transient` (the panic is captured, a retry
-    /// may succeed), attack outcomes delegate to their own
-    /// classification, and everything else — analyses that ran to
-    /// completion, unavailable surfaces, skips, replays — is definitive.
-    pub fn error_class(&self) -> Option<rtlock_store::ErrorClass> {
-        match self {
-            MemberOutcome::Attack(o) => o.error_class(),
-            MemberOutcome::Crashed(_) => Some(rtlock_store::ErrorClass::Transient),
-            MemberOutcome::Removal(_)
-            | MemberOutcome::Bypass(_)
-            | MemberOutcome::Unavailable(_)
-            | MemberOutcome::Skipped
-            | MemberOutcome::Replayed(_) => None,
-        }
     }
 }
 
@@ -204,8 +148,8 @@ pub struct PortfolioVerdict {
     pub broken: bool,
     /// The recovered key, when the winner produced one.
     pub key: Option<Vec<bool>>,
-    /// Per-member outcomes in priority order, losers normalized to
-    /// [`MemberOutcome::Skipped`].
+    /// Per-member outcomes in priority order; members after the winner
+    /// are [`MemberOutcome::Skipped`].
     pub outcomes: Vec<(PortfolioMember, MemberOutcome)>,
 }
 
@@ -258,10 +202,6 @@ fn canonical_outcome(o: &MemberOutcome) -> String {
         ),
         MemberOutcome::Unavailable(reason) => format!("unavailable({reason})"),
         MemberOutcome::Skipped => "skipped".into(),
-        MemberOutcome::Crashed(msg) => format!("crashed({msg})"),
-        // Verbatim: the stored text IS the original rendering, which is
-        // what makes a resumed verdict byte-identical.
-        MemberOutcome::Replayed(r) => r.rendered.clone(),
     }
 }
 
@@ -271,7 +211,6 @@ fn resolves(o: &MemberOutcome) -> bool {
         MemberOutcome::Attack(AttackOutcome::KeyFound { .. }) => true,
         MemberOutcome::Removal(RemovalOutcome::Recovered { .. }) => true,
         MemberOutcome::Bypass(est) => est.feasible,
-        MemberOutcome::Replayed(r) => r.resolved,
         _ => false,
     }
 }
@@ -279,7 +218,6 @@ fn resolves(o: &MemberOutcome) -> bool {
 fn outcome_key(o: &MemberOutcome) -> Option<Vec<bool>> {
     match o {
         MemberOutcome::Attack(AttackOutcome::KeyFound { key, .. }) => Some(key.clone()),
-        MemberOutcome::Replayed(r) => r.key.clone(),
         _ => None,
     }
 }
@@ -342,14 +280,9 @@ fn run_member(
 
 fn assemble_verdict(
     members: &[PortfolioMember],
-    mut outcomes: Vec<MemberOutcome>,
+    outcomes: Vec<MemberOutcome>,
     winner: Option<usize>,
 ) -> PortfolioVerdict {
-    if let Some(w) = winner {
-        for o in outcomes.iter_mut().skip(w + 1) {
-            *o = MemberOutcome::Skipped;
-        }
-    }
     let key = winner.and_then(|w| outcome_key(&outcomes[w]));
     PortfolioVerdict {
         winner,
@@ -359,100 +292,9 @@ fn assemble_verdict(
     }
 }
 
-/// Races every member of `config.members` on `executor`, cancelling lower
-/// priority members once a higher one resolves. The verdict is identical
-/// to [`portfolio_attack_sequential`] for any executor size (see the
-/// module docs for the exact guarantee).
-pub fn portfolio_attack(
-    target: &PortfolioTarget<'_>,
-    config: &PortfolioConfig,
-    executor: &Executor,
-    token: &CancelToken,
-) -> PortfolioVerdict {
-    let nothing_to_replay = vec![None; config.members.len()];
-    portfolio_attack_resumable(target, config, executor, token, &nothing_to_replay)
-}
-
-/// Resumes a portfolio run from a campaign journal: members whose
-/// outcomes were journaled before the crash are replayed verbatim
-/// (`prior[i] = Some(..)`, aligned with `config.members`), only the rest
-/// re-execute. The verdict's [`PortfolioVerdict::canonical`] form is
-/// byte-identical to an uninterrupted [`portfolio_attack`] run — replayed
-/// members print their stored rendering, re-executed members their fresh
-/// (deterministic) one, and the winner/skip normalization is the same.
-///
-/// # Panics
-///
-/// Panics when `prior.len()` differs from `config.members.len()`.
-pub fn portfolio_attack_resumable(
-    target: &PortfolioTarget<'_>,
-    config: &PortfolioConfig,
-    executor: &Executor,
-    token: &CancelToken,
-    prior: &[Option<ReplayedMember>],
-) -> PortfolioVerdict {
-    assert_eq!(prior.len(), config.members.len(), "prior outcomes misaligned with members");
-    let n = config.members.len();
-    // Each member gets a child token: the coordinator can cancel it
-    // individually, while a fired run-wide `token` still reaches everyone.
-    let children: Vec<CancelToken> = (0..n).map(|_| token.child()).collect();
-    let slots: Vec<Mutex<Option<MemberOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // A replayed resolution seeds the race: members below it still run to
-    // their natural outcomes (they were never cancelled in the original
-    // schedule either), members above it are cancelled up front.
-    let pre_winner =
-        prior.iter().position(|p| p.as_ref().is_some_and(|r| r.resolved));
-    if let Some(w) = pre_winner {
-        for t in &children[w + 1..] {
-            t.cancel();
-        }
-    }
-    let best: Mutex<Option<usize>> = Mutex::new(pre_winner);
-
-    let ((), panics) = executor.scope(token, |scope| {
-        for (i, &member) in config.members.iter().enumerate() {
-            if let Some(replay) = &prior[i] {
-                *slots[i].lock().expect("portfolio slot lock") =
-                    Some(MemberOutcome::Replayed(replay.clone()));
-                continue;
-            }
-            let (children, slots, best) = (&children, &slots, &best);
-            scope.spawn(move |_| {
-                let outcome = run_member(member, target, config, &children[i]);
-                if resolves(&outcome) {
-                    let mut b = best.lock().expect("portfolio winner lock");
-                    if b.is_none_or(|w| i < w) {
-                        *b = Some(i);
-                        // Losers (lower priority than the new winner) stop
-                        // now; members above the winner keep running.
-                        for t in &children[i + 1..] {
-                            t.cancel();
-                        }
-                    }
-                }
-                *slots[i].lock().expect("portfolio slot lock") = Some(outcome);
-            });
-        }
-    });
-
-    let mut panic_messages = panics.into_iter().map(|p| p.message);
-    let outcomes: Vec<MemberOutcome> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().expect("portfolio slot lock").unwrap_or_else(|| {
-                MemberOutcome::Crashed(
-                    panic_messages.next().unwrap_or_else(|| "member did not report".into()),
-                )
-            })
-        })
-        .collect();
-    let winner = best.into_inner().expect("portfolio winner lock");
-    assemble_verdict(&config.members, outcomes, winner)
-}
-
-/// The sequential twin of [`portfolio_attack`]: runs members in priority
-/// order and stops at the first resolution. Canonically identical to the
-/// parallel run — the determinism suite diffs the two.
+/// Runs the members of `config.members` in priority order, each under
+/// its own child of `token`, and stops at the first resolution (see the
+/// module docs).
 pub fn portfolio_attack_sequential(
     target: &PortfolioTarget<'_>,
     config: &PortfolioConfig,
@@ -546,20 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_at_every_thread_count() {
-        let (locked, orig) = comb_pair(&[false, true]);
-        let target = PortfolioTarget { comb: Some((&locked, &orig)), seq: None };
-        let cfg = quick_config();
-        let reference =
-            portfolio_attack_sequential(&target, &cfg, &CancelToken::unlimited()).canonical();
-        for threads in [1, 2, 8] {
-            let exec = Executor::new(threads);
-            let verdict = portfolio_attack(&target, &cfg, &exec, &CancelToken::unlimited());
-            assert_eq!(verdict.canonical(), reference, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn no_surface_means_nothing_resolves() {
         let target = PortfolioTarget { comb: None, seq: None };
         let cfg = quick_config();
@@ -581,71 +409,12 @@ mod tests {
         let cfg = quick_config();
         let token = CancelToken::unlimited();
         token.cancel();
-        let exec = Executor::new(4);
-        let verdict = portfolio_attack(&target, &cfg, &exec, &token);
+        let verdict = portfolio_attack_sequential(&target, &cfg, &token);
         assert!(!verdict.broken, "cancelled run must not claim a break: {verdict:?}");
         assert!(matches!(
             verdict.outcomes[0].1,
             MemberOutcome::Attack(AttackOutcome::TimedOut { .. })
         ));
-    }
-
-    #[test]
-    fn resumed_portfolio_is_byte_identical_to_uninterrupted() {
-        let (locked, orig) = comb_pair(&[true, false]);
-        let target = PortfolioTarget { comb: Some((&locked, &orig)), seq: None };
-        let cfg = quick_config();
-        let exec = Executor::new(4);
-        let reference = portfolio_attack(&target, &cfg, &exec, &CancelToken::unlimited());
-
-        // Replay each completed prefix of the reference run — as a crash
-        // after k journaled members would leave it — and resume the rest.
-        for completed in 0..=cfg.members.len() {
-            let prior: Vec<Option<ReplayedMember>> = reference
-                .outcomes
-                .iter()
-                .enumerate()
-                .map(|(i, (_, o))| {
-                    // Skipped members were never journaled as finished.
-                    if i < completed && !matches!(o, MemberOutcome::Skipped) {
-                        Some(ReplayedMember {
-                            rendered: o.canonical(),
-                            resolved: o.resolves(),
-                            key: o.recovered_key(),
-                        })
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            let resumed =
-                portfolio_attack_resumable(&target, &cfg, &exec, &CancelToken::unlimited(), &prior);
-            assert_eq!(
-                resumed.canonical(),
-                reference.canonical(),
-                "resume after {completed} journaled members"
-            );
-            assert_eq!(resumed.key, reference.key);
-        }
-    }
-
-    #[test]
-    fn outcome_classification_is_consistent_across_members() {
-        use rtlock_store::ErrorClass;
-        let timed = MemberOutcome::Attack(AttackOutcome::TimedOut {
-            iterations: 3,
-            elapsed: std::time::Duration::ZERO,
-            stats: crate::sat_attack::AttackStats::default(),
-        });
-        assert_eq!(timed.error_class(), Some(ErrorClass::Transient));
-        let err = MemberOutcome::Attack(AttackOutcome::Error { reason: "model hole".into() });
-        assert_eq!(err.error_class(), Some(ErrorClass::Permanent), "never retried");
-        let crashed = MemberOutcome::Crashed("worker panic".into());
-        assert_eq!(crashed.error_class(), Some(ErrorClass::Transient));
-        let infeasible =
-            MemberOutcome::Attack(AttackOutcome::Infeasible { reason: "no key inputs".into() });
-        assert_eq!(infeasible.error_class(), None, "definitive verdict about the target");
-        assert_eq!(MemberOutcome::Skipped.error_class(), None);
     }
 
     #[test]

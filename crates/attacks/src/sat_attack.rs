@@ -156,26 +156,6 @@ impl AttackOutcome {
         }
     }
 
-    /// How a retry supervisor should treat this outcome — the one
-    /// classification every attack (sat, bmc, removal, bypass) shares:
-    ///
-    /// * [`AttackOutcome::TimedOut`] is budget exhaustion (deadline,
-    ///   cancel, or an iteration cap) — `Transient`: a retry with a fresh
-    ///   budget may finish.
-    /// * [`AttackOutcome::Error`] is broken attack machinery (a model
-    ///   hole, an inconsistent miter) — `Permanent`: it re-fails
-    ///   identically on every attempt and must never be retried.
-    /// * [`AttackOutcome::KeyFound`] and [`AttackOutcome::Infeasible`]
-    ///   are definitive verdicts about the target — `None`, nothing to
-    ///   retry.
-    pub fn error_class(&self) -> Option<rtlock_store::ErrorClass> {
-        match self {
-            AttackOutcome::TimedOut { .. } => Some(rtlock_store::ErrorClass::Transient),
-            AttackOutcome::Error { .. } => Some(rtlock_store::ErrorClass::Permanent),
-            AttackOutcome::KeyFound { .. } | AttackOutcome::Infeasible { .. } => None,
-        }
-    }
-
     /// The attack statistics, if this outcome carries them.
     pub fn stats(&self) -> Option<&AttackStats> {
         match self {

@@ -43,7 +43,7 @@ options:
                       most 256)
   --retries <n>       max attempts per design (default 1 = no retry)
   --retry-base-ms <n> base backoff in milliseconds (default 10)
-  --attacks           race the attack portfolio on each locked design
+  --attacks           run the attack portfolio on each locked design
   --out <file>        write the canonical report here (atomic) instead
                       of stdout
   --crash-after-events <n>

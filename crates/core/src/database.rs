@@ -169,7 +169,8 @@ pub fn build_database(
     fsms: &[Fsm],
     config: &DatabaseConfig,
 ) -> Database {
-    build_database_governed(original, candidates, fsms, config, &CancelToken::unlimited()).0
+    let unlimited = CancelToken::unlimited();
+    build_database_governed_cached(original, candidates, fsms, config, &unlimited, None).0
 }
 
 /// Budget-aware database construction. Every candidate always gets a row,
@@ -179,20 +180,10 @@ pub fn build_database(
 /// overhead is reported as 0), and corruption is measured with a single
 /// short RTL co-simulation. The second element is `false` when any row was
 /// produced in degraded mode.
-pub fn build_database_governed(
-    original: &Module,
-    candidates: &[Candidate],
-    fsms: &[Fsm],
-    config: &DatabaseConfig,
-    cancel: &CancelToken,
-) -> (Database, bool) {
-    build_database_governed_cached(original, candidates, fsms, config, cancel, None)
-}
-
-/// [`build_database_governed`] with a content-addressed artifact cache:
-/// the base synthesis and every candidate's per-case elaborate/optimize
-/// consult `cache` first. Rows are byte-identical with the cache hot,
-/// cold, or absent.
+///
+/// With a content-addressed artifact `cache`, the base synthesis and
+/// every candidate's per-case elaborate/optimize consult it first. Rows
+/// are byte-identical with the cache hot, cold, or absent.
 pub fn build_database_governed_cached(
     original: &Module,
     candidates: &[Candidate],
@@ -488,12 +479,13 @@ mod tests {
         let m = parse(SRC).unwrap();
         let (cands, fsms) = enumerate(&m, &EnumConfig::default());
         let expired = CancelToken::with_deadline(Deadline::after(Duration::ZERO));
-        let (db, complete) = build_database_governed(
+        let (db, complete) = build_database_governed_cached(
             &m,
             &cands,
             &fsms,
             &DatabaseConfig { sat_probe: true, ml_probe: true, ..quick_config() },
             &expired,
+            None,
         );
         assert!(!complete, "expired token must flag the build incomplete");
         assert_eq!(db.cases.len(), cands.len(), "every candidate still gets a row");

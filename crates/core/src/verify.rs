@@ -69,7 +69,7 @@ pub struct CosimOutcome {
 ///
 /// Panics if a simulator hits a combinational loop (locked designs are
 /// produced by our own transforms, so this indicates an internal bug).
-/// Flow code uses [`try_cosim_mismatch_rate`] instead, which surfaces the
+/// Flow code uses [`try_cosim_bounded`] instead, which surfaces the
 /// failure as an error.
 pub fn cosim_mismatch_rate(
     original: &Module,
@@ -78,31 +78,16 @@ pub fn cosim_mismatch_rate(
     cycles: usize,
     seed: u64,
 ) -> f64 {
-    match try_cosim_mismatch_rate(original, locked, key, cycles, seed) {
-        Ok(rate) => rate,
+    match try_cosim_bounded(original, locked, key, cycles, seed, &CancelToken::unlimited()) {
+        Ok(out) => out.mismatch_rate,
         Err(e) => panic!("co-simulation failed: {e}"),
     }
 }
 
-/// Fallible co-simulation — like [`cosim_mismatch_rate`] but simulator
-/// failures (combinational loops) come back as `Err` instead of a panic.
-///
-/// # Errors
-///
-/// Returns a message naming the failing design and net.
-pub fn try_cosim_mismatch_rate(
-    original: &Module,
-    locked: &Module,
-    key: &[bool],
-    cycles: usize,
-    seed: u64,
-) -> Result<f64, String> {
-    try_cosim_bounded(original, locked, key, cycles, seed, &CancelToken::unlimited())
-        .map(|o| o.mismatch_rate)
-}
-
-/// Bounded fallible co-simulation: polls `cancel` every cycle and, when it
-/// fires, returns the verdict over the cycles completed so far with
+/// Bounded fallible co-simulation — like [`cosim_mismatch_rate`] but
+/// simulator failures (combinational loops) come back as `Err` instead of
+/// a panic. Polls `cancel` every cycle and, when it fires, returns the
+/// verdict over the cycles completed so far with
 /// [`CosimOutcome::complete`] cleared.
 ///
 /// # Errors
@@ -446,7 +431,8 @@ mod tests {
             "module l(input a, output y);\n  wire x;\n  assign x = ~x;\n  assign y = x & a;\nendmodule",
         )
         .unwrap();
-        let err = try_cosim_mismatch_rate(&looped, &looped, &[], 4, 1).unwrap_err();
+        let err =
+            try_cosim_bounded(&looped, &looped, &[], 4, 1, &CancelToken::unlimited()).unwrap_err();
         assert!(err.contains("design"), "{err}");
     }
 

@@ -1,18 +1,18 @@
 //! A dependency-free work-stealing executor for the RTLock workspace.
 //!
-//! Every heavy RTLock workload — locking the design catalog, racing a
-//! portfolio of attacks, sharding a fuzzing campaign — is embarrassingly
-//! parallel at the task level but must stay *deterministic*: parallel
-//! results are required to be byte-identical to sequential ones. This
-//! crate provides the substrate those consumers share:
+//! The heavy RTLock workloads — locking the design catalog, sharding a
+//! fuzzing campaign — are embarrassingly parallel at the task level but
+//! must stay *deterministic*: parallel results are required to be
+//! byte-identical to sequential ones. This crate provides the substrate
+//! those consumers share:
 //!
-//! * [`Executor::scope`] — scoped spawning onto per-worker deques with
-//!   work stealing; worker threads are joined before the scope returns, so
-//!   tasks may borrow from the caller's stack and no thread ever leaks;
+//! * scoped spawning onto per-worker deques with work stealing; worker
+//!   threads are joined before each call returns, so tasks may borrow
+//!   from the caller's stack and no thread ever leaks;
 //! * per-task **panic capture** — a panicking task is caught with
 //!   [`catch_unwind`] (the same isolation the flow governor uses at stage
-//!   boundaries) and surfaces as a [`TaskError::Panicked`] value or a
-//!   [`TaskPanic`] record, never as a torn-down pool;
+//!   boundaries) and surfaces as a [`TaskError::Panicked`] value, never
+//!   as a torn-down pool;
 //! * **cancellation/deadline propagation** — every task receives a
 //!   [`CancelToken`](rtlock_governor::CancelToken) derived from the
 //!   caller's; a mid-flight cancel drains queued tasks as
@@ -22,7 +22,9 @@
 //! * [`Executor::map`] — the deterministic fan-out primitive: results come
 //!   back **indexed by input order**, independent of which worker ran what
 //!   and in which interleaving. Consumers that merge `map` output in index
-//!   order are scheduling-oblivious by construction.
+//!   order are scheduling-oblivious by construction;
+//! * [`Executor::map_supervised_observed`] — `map` with per-item retry
+//!   under a [`RetryPolicy`] and a live event observer.
 //!
 //! The crate is dependency-free (std only) and sits next to
 //! `rtlock-governor` at the bottom of the workspace graph so every engine
@@ -76,12 +78,12 @@ pub type TaskResult<T> = Result<T, TaskError>;
 
 /// A panic captured from a raw [`Scope::spawn`] task.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPanic {
+pub(crate) struct TaskPanic {
     /// The panic payload's message, best effort.
     pub message: String,
 }
 
-/// The most workers a command-line tool may request. [`Executor::scope`]
+/// The most workers a command-line tool may request. Every fan-out
 /// spawns one scoped thread per worker, and `std::thread::Scope::spawn`
 /// panics when the operating system refuses a thread, so a larger count
 /// from user input must be rejected before it reaches [`Executor::new`].
@@ -89,11 +91,10 @@ pub const MAX_THREADS: usize = 256;
 
 /// A work-stealing thread pool configuration.
 ///
-/// Workers are spawned as *scoped* threads per [`Executor::scope`] call
-/// (and joined before it returns), which keeps the API safe for
-/// stack-borrowing tasks and makes leaked workers impossible; the spawn
-/// cost is microseconds against task granularities of milliseconds to
-/// minutes. Each worker owns a deque seeded round-robin and steals from
+/// Workers are spawned as *scoped* threads per fan-out call (and joined
+/// before it returns), which keeps the API safe for stack-borrowing tasks
+/// and makes leaked workers impossible; the spawn cost is microseconds
+/// against task granularities of milliseconds to minutes. Each worker owns a deque seeded round-robin and steals from
 /// its siblings when empty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
@@ -124,7 +125,7 @@ impl Executor {
     /// All spawned tasks are executed (or drained by their own
     /// cooperative cancel checks) and all workers are joined before this
     /// returns — including when `f` itself unwinds.
-    pub fn scope<'env, T>(
+    pub(crate) fn scope<'env, T>(
         &self,
         token: &CancelToken,
         f: impl FnOnce(&Scope<'_, 'env>) -> T,
@@ -204,34 +205,18 @@ impl Executor {
     /// is permanent) and returns `None` for definitive results. `f`
     /// additionally receives the 1-based attempt number.
     ///
-    /// Returns the final per-item results in input order plus every
-    /// failed attempt as a [`RetryRecord`], sorted by `(index, attempt)`
-    /// — deterministic across thread counts, ready for journaling.
-    pub fn map_supervised<I, T, F, C>(
-        &self,
-        token: &CancelToken,
-        items: Vec<I>,
-        policy: &RetryPolicy,
-        classify: C,
-        f: F,
-    ) -> (Vec<TaskResult<T>>, Vec<RetryRecord>)
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, &I, u32, &CancelToken) -> T + Sync,
-        C: Fn(&TaskResult<T>) -> Option<(ErrorClass, String)> + Sync,
-    {
-        self.map_supervised_observed(token, items, policy, classify, |_| {}, f)
-    }
-
-    /// [`Executor::map_supervised`] with a live observer: `observe` is
-    /// invoked from the worker as events happen — once per failed attempt
-    /// ([`SupervisedEvent::Attempt`], before the backoff sleep) and once
-    /// per item when its result is final
+    /// `observe` is invoked from the worker as events happen — once per
+    /// failed attempt ([`SupervisedEvent::Attempt`], before the backoff
+    /// sleep) and once per item when its result is final
     /// ([`SupervisedEvent::Finished`], before the slot is stored). A
     /// checkpointing caller journals from here so a crash between items
     /// loses at most the in-flight ones; `observe` must therefore do its
-    /// own locking (it runs concurrently from every worker).
+    /// own locking (it runs concurrently from every worker). Pass `|_| {}`
+    /// to observe nothing.
+    ///
+    /// Returns the final per-item results in input order plus every
+    /// failed attempt as a [`RetryRecord`], sorted by `(index, attempt)`
+    /// — deterministic across thread counts, ready for journaling.
     pub fn map_supervised_observed<I, T, F, C, O>(
         &self,
         token: &CancelToken,
@@ -321,7 +306,7 @@ pub enum SupervisedEvent<'a, T> {
     },
 }
 
-/// One failed attempt observed by [`Executor::map_supervised`].
+/// One failed attempt observed by [`Executor::map_supervised_observed`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryRecord {
     /// Input index of the item.
@@ -359,7 +344,7 @@ impl Default for Executor {
 }
 
 /// Handle for spawning tasks inside an [`Executor::scope`] call.
-pub struct Scope<'pool, 'env> {
+pub(crate) struct Scope<'pool, 'env> {
     shared: &'pool Shared<'env>,
     _env: PhantomData<&'env mut &'env ()>,
 }
@@ -368,13 +353,8 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     /// Spawns a task onto the pool. The task receives the scope's
     /// [`CancelToken`] and should poll it at its own loop boundaries; a
     /// panicking task is captured into the scope's [`TaskPanic`] list.
-    pub fn spawn(&self, job: impl FnOnce(&CancelToken) + Send + 'env) {
+    pub(crate) fn spawn(&self, job: impl FnOnce(&CancelToken) + Send + 'env) {
         self.shared.spawn(Box::new(job));
-    }
-
-    /// The token tasks of this scope receive.
-    pub fn token(&self) -> &CancelToken {
-        &self.shared.token
     }
 }
 
@@ -664,7 +644,7 @@ mod tests {
             jitter_seed: 11,
         };
         // Item 5 fails (panics) on attempts 1 and 2, succeeds on 3.
-        let (out, records) = pool.map_supervised(
+        let (out, records) = pool.map_supervised_observed(
             &CancelToken::unlimited(),
             (0..8u32).collect(),
             &policy,
@@ -672,6 +652,7 @@ mod tests {
                 Err(TaskError::Panicked(m)) => Some((ErrorClass::Transient, m.clone())),
                 _ => None,
             },
+            |_| {},
             |_, &n, attempt, _| {
                 if n == 5 && attempt < 3 {
                     panic!("flaky item {n} attempt {attempt}");
@@ -693,11 +674,12 @@ mod tests {
     fn supervised_map_never_retries_permanent_failures() {
         let pool = Executor::new(2);
         let attempts_seen = AtomicUsize::new(0);
-        let (out, records) = pool.map_supervised(
+        let (out, records) = pool.map_supervised_observed(
             &CancelToken::unlimited(),
             vec![()],
             &RetryPolicy::attempts(5),
             |_: &TaskResult<&str>| Some((ErrorClass::Permanent, "structural".into())),
+            |_| {},
             |_, (), _, _| {
                 attempts_seen.fetch_add(1, Ordering::Relaxed);
                 "value"
@@ -719,7 +701,7 @@ mod tests {
             max_delay: Duration::from_millis(2),
             jitter_seed: 3,
         };
-        let (out, records) = pool.map_supervised(
+        let (out, records) = pool.map_supervised_observed(
             &CancelToken::unlimited(),
             vec![0u8; 2],
             &policy,
@@ -727,6 +709,7 @@ mod tests {
                 Err(TaskError::Panicked(m)) => Some((ErrorClass::Transient, m.clone())),
                 _ => None,
             },
+            |_| {},
             |i, _, attempt, _| panic!("always failing {i} attempt {attempt}"),
         );
         for r in &out {

@@ -58,6 +58,7 @@ mod tests {
 
     #[test]
     fn persist_then_load_roundtrips() {
+        let _guard = crate::serial();
         let dir = std::env::temp_dir().join(format!("rtlock_fuzz_corpus_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let src = "module t(input a, output y); assign y = a; endmodule\n";
@@ -72,6 +73,7 @@ mod tests {
 
     #[test]
     fn load_missing_directory_errors() {
+        let _guard = crate::serial();
         assert!(load(Path::new("/nonexistent/rtlock-fuzz-corpus")).is_err());
     }
 }

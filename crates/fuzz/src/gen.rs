@@ -667,6 +667,7 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
+        let _guard = crate::serial();
         let cfg = GenConfig::default();
         for seed in 0..20 {
             let a = generate(seed, &cfg);
@@ -678,6 +679,7 @@ mod tests {
 
     #[test]
     fn generated_modules_parse() {
+        let _guard = crate::serial();
         let cfg = GenConfig::default();
         for seed in 0..200 {
             let m = generate(seed, &cfg);
@@ -690,6 +692,7 @@ mod tests {
 
     #[test]
     fn generated_modules_elaborate() {
+        let _guard = crate::serial();
         let cfg = GenConfig::default();
         for seed in 0..100 {
             let m = generate(seed, &cfg);
@@ -703,6 +706,7 @@ mod tests {
 
     #[test]
     fn seeds_produce_distinct_modules() {
+        let _guard = crate::serial();
         let cfg = GenConfig::default();
         let a = render(&generate(1, &cfg));
         let b = render(&generate(2, &cfg));

@@ -351,12 +351,24 @@ fn replayed_chunks(
         .collect()
 }
 
+/// Serializes every unit test of this crate: two of them arm the
+/// process-global injected optimizer bug (`rtlock_synth::opt::inject`),
+/// which must not leak into a test running the optimizer concurrently.
+/// The gate guards no data, so a lock poisoned by a failed test is taken
+/// over rather than failing every later test.
+#[cfg(test)]
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn clean_campaign_reports_no_divergences() {
+        let _guard = crate::serial();
         let cfg = FuzzConfig { iters: 25, ..FuzzConfig::default() };
         let report = run_fuzz(&cfg, &CancelToken::unlimited());
         assert_eq!(report.executed, 25);
@@ -369,6 +381,7 @@ mod tests {
 
     #[test]
     fn parallel_campaign_matches_sequential() {
+        let _guard = crate::serial();
         let cfg = FuzzConfig { iters: 20, ..FuzzConfig::default() };
         let reference = run_fuzz(&cfg, &CancelToken::unlimited());
         let digest = |r: &FuzzReport| {
@@ -394,6 +407,7 @@ mod tests {
 
     #[test]
     fn cancelled_campaign_stops_early() {
+        let _guard = crate::serial();
         let cfg = FuzzConfig { iters: 1000, ..FuzzConfig::default() };
         let cancel = CancelToken::unlimited();
         cancel.cancel();

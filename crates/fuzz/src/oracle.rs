@@ -747,22 +747,26 @@ mod tests {
 
     #[test]
     fn clean_combinational_module_passes() {
+        let _guard = crate::serial();
         assert_eq!(check_source(ADDER, 3, &OracleConfig::default()), Verdict::Pass);
     }
 
     #[test]
     fn clean_sequential_module_passes() {
+        let _guard = crate::serial();
         assert_eq!(check_source(COUNTER, 5, &OracleConfig::default()), Verdict::Pass);
     }
 
     #[test]
     fn parse_error_is_a_frontend_divergence() {
+        let _guard = crate::serial();
         let v = check_source("module broken(; endmodule", 1, &OracleConfig::default());
         assert!(matches!(v, Verdict::Diverged { layer: Layer::Frontend, .. }), "{v:?}");
     }
 
     #[test]
     fn injected_optimizer_bug_is_caught() {
+        let _guard = crate::serial();
         // The miscompile mis-orders mux legs when absorbing an inverted
         // select, so a module built around `(!s) ? a : b` must trip the
         // optimized-netlist layers while the bug is armed.
@@ -781,6 +785,7 @@ mod tests {
     }
     #[test]
     fn analysis_layer_name_roundtrips() {
+        let _guard = crate::serial();
         assert_eq!(Layer::from_name("analysis"), Some(Layer::Analysis));
         assert_eq!(Layer::Analysis.name(), "analysis");
         assert_eq!(Layer::from_name("cache-diff"), Some(Layer::CacheDiff));
@@ -789,6 +794,7 @@ mod tests {
 
     #[test]
     fn cache_differential_layer_passes_on_clean_modules() {
+        let _guard = crate::serial();
         let module = rtlock_rtl::parse(COUNTER).expect("parses");
         let pre = elaborate(&module).expect("elaborates");
         let mut opt = pre.clone();
@@ -806,6 +812,7 @@ mod tests {
 
     #[test]
     fn constant_output_module_passes_the_analysis_layer() {
+        let _guard = crate::serial();
         // `a & ~a` folds to a proven-constant output; the analysis layer
         // must agree with both the optimizer and the reference trace.
         let src = "module k(input a, input b, output y, output z);\n\
@@ -817,6 +824,7 @@ mod tests {
 
     #[test]
     fn contradictory_constant_proofs_diverge() {
+        let _guard = crate::serial();
         use rtlock_netlist::{GateKind, Netlist};
         // Reference semantics: y == 0 always.
         let module = rtlock_rtl::parse(

@@ -63,6 +63,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_stream() {
+        let _guard = crate::serial();
         let mut a = FuzzRng::new(42);
         let mut b = FuzzRng::new(42);
         for _ in 0..100 {
@@ -72,6 +73,7 @@ mod tests {
 
     #[test]
     fn below_respects_bound() {
+        let _guard = crate::serial();
         let mut r = FuzzRng::new(7);
         for bound in 1..20u64 {
             for _ in 0..50 {
@@ -82,6 +84,7 @@ mod tests {
 
     #[test]
     fn derived_streams_differ() {
+        let _guard = crate::serial();
         let mut a = FuzzRng::derive(1, 0);
         let mut b = FuzzRng::derive(1, 1);
         let same = (0..32).filter(|_| a.next_u64() == b.next_u64()).count();

@@ -459,6 +459,7 @@ mod tests {
 
     #[test]
     fn shrinks_decoys_away_under_injected_bug() {
+        let _guard = crate::serial();
         let m = mux_module_with_decoys();
         let cfg = OracleConfig { check_locked: false, ..OracleConfig::default() };
         rtlock_synth::opt::inject::set_opt_mux_bug(true);
@@ -476,6 +477,7 @@ mod tests {
 
     #[test]
     fn non_divergent_module_is_returned_unchanged() {
+        let _guard = crate::serial();
         let m = crate::gen::generate(3, &GenConfig::default());
         let cfg = OracleConfig { check_locked: false, ..OracleConfig::default() };
         let out = shrink(&m, 3, &cfg, &CancelToken::unlimited());

@@ -4,7 +4,8 @@
 //! included — at any job count.
 //!
 //! The optimizer-miscompile injection flag is process-global, so this
-//! whole file runs as its own test binary (like `injected_bug.rs`).
+//! file runs as its own test binary (like `injected_bug.rs`) and its tests
+//! serialize on one mutex.
 
 use rtlock::journal::CampaignJournal;
 use rtlock_fuzz::oracle::OracleConfig;
@@ -12,6 +13,14 @@ use rtlock_fuzz::{run_fuzz, run_fuzz_resumable, FuzzConfig, FuzzReport};
 use rtlock_governor::CancelToken;
 use rtlock_synth::opt::inject;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the binary: one test arms the injection flag, which must
+/// not leak into the other test's campaign.
+fn serial() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 type Digest = (u64, u64, bool, Vec<(u64, String, String, String)>);
 
@@ -47,6 +56,7 @@ fn run_journaled(cfg: &FuzzConfig, path: &Path, jobs: usize) -> FuzzReport {
 
 #[test]
 fn resumed_campaign_is_byte_identical_at_any_prefix() {
+    let _guard = serial();
     // Armed miscompile so the journal carries real divergences (detail +
     // shrunk source) through the replay path, not just counters.
     let cfg = FuzzConfig {
@@ -102,6 +112,7 @@ fn resumed_campaign_is_byte_identical_at_any_prefix() {
 
 #[test]
 fn fully_replayed_campaign_executes_nothing_new() {
+    let _guard = serial();
     let cfg = FuzzConfig { seed: 5, iters: 24, ..FuzzConfig::default() };
     let dir = temp_dir("noop");
     let path = dir.join("fuzz.journal");

@@ -156,9 +156,8 @@ impl CancelToken {
     /// not touch this token, while cancelling this token (or any ancestor)
     /// still fires the child. The child inherits the deadline.
     ///
-    /// This is the shape a portfolio executor needs — each racing worker
-    /// gets a child it can be individually cancelled through, under one
-    /// run-wide parent.
+    /// The catalog hands one to each design's portfolio run, and the
+    /// portfolio one to each member.
     pub fn child(&self) -> Self {
         let mut ancestors = self.ancestors.clone();
         ancestors.push(Arc::clone(&self.cancelled));

@@ -2,21 +2,18 @@
 //! produce output byte-identical to its sequential twin at any thread
 //! count.
 //!
-//! Covered: the catalog flow runner (merged reports), the attack
-//! portfolio (canonical verdicts), and the fuzzing campaign (reports and
-//! persisted corpus directories), plus a cancellation stress test that
-//! bounds how long a cancelled pool takes to drain.
+//! Covered: the catalog flow runner (merged reports, with and without the
+//! attack portfolio each worker runs sequentially), the fuzzing campaign
+//! (reports and persisted corpus directories), the artifact cache, plus a
+//! cancellation stress test that bounds how long a cancelled pool takes
+//! to drain.
 //!
 //! The fuzz test arms the process-global injected optimizer bug, so all
 //! tests in this binary serialize on one mutex.
 
 use rtlock_exec::Executor;
 use rtlock_governor::CancelToken;
-use rtlock_repro::attacks::{
-    key_accuracy, portfolio_attack, portfolio_attack_sequential, AttackConfig, PortfolioConfig,
-    PortfolioTarget,
-};
-use rtlock_repro::netlist::{GateKind, Netlist};
+use rtlock_repro::attacks::{AttackConfig, PortfolioConfig};
 use rtlock_repro::rtlock::database::DatabaseConfig;
 use rtlock_repro::rtlock::select::SelectionSpec;
 use rtlock_repro::rtlock::{
@@ -112,57 +109,6 @@ fn catalog_with_attacks_is_identical_across_thread_counts() {
     for threads in [1, 2, 8] {
         let report = lock_catalog_parallel(&job, &Executor::new(threads), &CancelToken::unlimited());
         assert_eq!(report.canonical(), reference, "threads={threads}");
-    }
-}
-
-// ---- portfolio verdicts ------------------------------------------------
-
-/// y = (a & b) ^ (c | d) locked with two XOR/XNOR key gates.
-fn comb_pair(key: &[bool]) -> (Netlist, Netlist) {
-    let mut orig = Netlist::new("orig");
-    let a = orig.add_input("a");
-    let b = orig.add_input("b");
-    let c = orig.add_input("c");
-    let d = orig.add_input("d");
-    let ab = orig.add_gate(GateKind::And, vec![a, b]);
-    let cd = orig.add_gate(GateKind::Or, vec![c, d]);
-    let y = orig.add_gate(GateKind::Xor, vec![ab, cd]);
-    orig.add_output("y", y);
-
-    let mut locked = Netlist::new("locked");
-    let a = locked.add_input("a");
-    let b = locked.add_input("b");
-    let c = locked.add_input("c");
-    let d = locked.add_input("d");
-    let k0 = locked.add_input("keyinput0");
-    locked.mark_key_input(k0);
-    let k1 = locked.add_input("keyinput1");
-    locked.mark_key_input(k1);
-    let ab = locked.add_gate(GateKind::And, vec![a, b]);
-    let kind0 = if key[0] { GateKind::Xnor } else { GateKind::Xor };
-    let ab_l = locked.add_gate(kind0, vec![ab, k0]);
-    let cd = locked.add_gate(GateKind::Or, vec![c, d]);
-    let kind1 = if key[1] { GateKind::Xnor } else { GateKind::Xor };
-    let cd_l = locked.add_gate(kind1, vec![cd, k1]);
-    let y = locked.add_gate(GateKind::Xor, vec![ab_l, cd_l]);
-    locked.add_output("y", y);
-    (locked, orig)
-}
-
-#[test]
-fn portfolio_verdicts_are_identical_across_thread_counts() {
-    let _guard = serial();
-    let (locked, orig) = comb_pair(&[true, false]);
-    let target = PortfolioTarget { comb: Some((&locked, &orig)), seq: None };
-    let cfg = quick_portfolio();
-    let reference = portfolio_attack_sequential(&target, &cfg, &CancelToken::unlimited());
-    assert!(reference.broken, "SAT member must break the target");
-    let key = reference.key.as_deref().expect("winner recovered a key");
-    assert_eq!(key_accuracy(&locked, &orig, key, 64, 7), 1.0);
-    for threads in [1, 2, 8] {
-        let exec = Executor::new(threads);
-        let verdict = portfolio_attack(&target, &cfg, &exec, &CancelToken::unlimited());
-        assert_eq!(verdict.canonical(), reference.canonical(), "threads={threads}");
     }
 }
 
