@@ -2,11 +2,11 @@
 //! several worker counts, recorded as `BENCH_parallel.json`.
 //!
 //! Each selected design is locked and portfolio-attacked at several seeds
-//! (independent tasks), first sequentially and then on the work-stealing
-//! pool. The merged reports must be byte-identical at every worker count
-//! — the benchmark doubles as a determinism check on real workloads — and
-//! the JSON records the wall-clock per worker count plus the 4-vs-1
-//! speedup headline.
+//! (independent tasks), first sequentially and then on the executor's
+//! scoped workers. The merged reports must be byte-identical at every
+//! worker count — the benchmark doubles as a determinism check on real
+//! workloads — and the JSON records the wall-clock per worker count plus
+//! the 4-vs-1 speedup headline.
 //!
 //! Knobs: `RTLOCK_DESIGNS` (default `b05,b14,b15` for this harness),
 //! `RTLOCK_BENCH_SEEDS` seeds per design (default 2),

@@ -386,7 +386,7 @@ pub fn lock(module: &Module, config: &RtlLockConfig) -> Result<LockedDesign, Loc
 ///
 /// Every stage — the seven locking steps, the two lint gates, and the
 /// final dataflow analysis gate — executes through the
-/// [`Governor`](crate::governor::Governor): its body is panic-isolated
+/// [`Governor`]: its body is panic-isolated
 /// (a panic becomes [`LockError::StagePanic`]), it polls a cancel token
 /// tightened to the stage's soft deadline, and when a budget fires the
 /// flow degrades along a fixed ladder instead of failing outright:

@@ -6,7 +6,7 @@
 //!
 //! * a [`RunBudget`] carries one wall-clock budget for the whole run plus
 //!   optional per-stage soft deadlines; each stage receives a
-//!   [`CancelToken`](rtlock_governor::CancelToken) tightened to the earlier
+//!   [`CancelToken`] tightened to the earlier
 //!   of the two, and the long-running engines (synthesis fixpoint, ILP
 //!   branch-and-bound, SAT probes, ATPG, co-simulation) poll it
 //!   cooperatively;

@@ -43,7 +43,7 @@ pub fn coverage_with_fallback(
 
 /// Structural coverage estimate: the fraction of nets whose combined
 /// SCOAP controllability + observability cost stays below
-/// [`HARD_OPACITY`]. No patterns are generated — this is the degraded
+/// `HARD_OPACITY` (64). No patterns are generated — this is the degraded
 /// answer when the ATPG budget is gone.
 pub fn scoap_coverage_estimate(netlist: &Netlist) -> f64 {
     let measures = scoap::analyze(netlist);

@@ -1,24 +1,25 @@
-//! A dependency-free work-stealing executor for the RTLock workspace.
+//! The parallel fan-out substrate of the RTLock workspace.
 //!
 //! The heavy RTLock workloads — locking the design catalog, sharding a
 //! fuzzing campaign — are embarrassingly parallel at the task level but
 //! must stay *deterministic*: parallel results are required to be
-//! byte-identical to sequential ones. This crate provides the substrate
-//! those consumers share:
+//! byte-identical to sequential ones. Each of them hands over its whole
+//! list of coarse tasks up front, and no task spawns another, so every
+//! call of this crate is one fan-out over one list:
 //!
-//! * scoped spawning onto per-worker deques with work stealing; worker
-//!   threads are joined before each call returns, so tasks may borrow
-//!   from the caller's stack and no thread ever leaks;
+//! * scoped worker threads take the next item from one shared cursor, so
+//!   items start in input order; every worker is joined before the call
+//!   returns, so tasks may borrow from the caller's stack and no thread
+//!   ever leaks;
 //! * per-task **panic capture** — a panicking task is caught with
 //!   [`catch_unwind`] (the same isolation the flow governor uses at stage
 //!   boundaries) and surfaces as a [`TaskError::Panicked`] value, never
-//!   as a torn-down pool;
-//! * **cancellation/deadline propagation** — every task receives a
-//!   [`CancelToken`](rtlock_governor::CancelToken) derived from the
-//!   caller's; a mid-flight cancel drains queued tasks as
-//!   [`TaskError::Cancelled`] without running them, and the scope still
-//!   joins every worker within a bounded wall-clock time as long as
-//!   running tasks poll their token cooperatively;
+//!   as a torn-down fan-out;
+//! * **cancellation/deadline propagation** — every task receives the
+//!   caller's [`CancelToken`]; once it fires, items not yet started are
+//!   drained as [`TaskError::Cancelled`] without running, and the call
+//!   still returns within a bounded wall-clock time as long as running
+//!   tasks poll their token cooperatively;
 //! * [`Executor::map`] — the deterministic fan-out primitive: results come
 //!   back **indexed by input order**, independent of which worker ran what
 //!   and in which interleaving. Consumers that merge `map` output in index
@@ -26,9 +27,9 @@
 //! * [`Executor::map_supervised_observed`] — `map` with per-item retry
 //!   under a [`RetryPolicy`] and a live event observer.
 //!
-//! The crate is dependency-free (std only) and sits next to
-//! `rtlock-governor` at the bottom of the workspace graph so every engine
-//! crate can use it.
+//! Besides std, the crate uses only `rtlock-governor` (the cancel token)
+//! and `rtlock-store` (the retry policy), both at the bottom of the
+//! workspace graph, so every engine crate can use it.
 //!
 //! ```
 //! use rtlock_exec::Executor;
@@ -44,17 +45,14 @@
 
 use rtlock_governor::{CancelToken, StopReason};
 use rtlock_store::{ErrorClass, RetryPolicy};
-use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Why a task produced no value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskError {
-    /// The task body panicked; the pool caught the unwind.
+    /// The task body panicked; the executor caught the unwind.
     Panicked(String),
     /// The task was drained without running (or gave up cooperatively)
     /// because its cancel token fired first.
@@ -76,26 +74,20 @@ impl std::error::Error for TaskError {}
 /// Per-task result of a [`Executor::map`] fan-out.
 pub type TaskResult<T> = Result<T, TaskError>;
 
-/// A panic captured from a raw [`Scope::spawn`] task.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct TaskPanic {
-    /// The panic payload's message, best effort.
-    pub message: String,
-}
-
-/// The most workers a command-line tool may request. Every fan-out
-/// spawns one scoped thread per worker, and `std::thread::Scope::spawn`
-/// panics when the operating system refuses a thread, so a larger count
-/// from user input must be rejected before it reaches [`Executor::new`].
+/// The most workers a command-line tool may request. A fan-out spawns
+/// one scoped thread per worker (never more than it has items), and
+/// spawning a scoped thread panics when the operating system refuses
+/// one, so a larger count from user input must be rejected before it
+/// reaches [`Executor::new`].
 pub const MAX_THREADS: usize = 256;
 
-/// A work-stealing thread pool configuration.
+/// The worker count of a parallel fan-out.
 ///
-/// Workers are spawned as *scoped* threads per fan-out call (and joined
-/// before it returns), which keeps the API safe for stack-borrowing tasks
+/// Each call starts `min(threads, items)` *scoped* threads and joins them
+/// before it returns, which keeps the API safe for stack-borrowing tasks
 /// and makes leaked workers impossible; the spawn cost is microseconds
-/// against task granularities of milliseconds to minutes. Each worker owns a deque seeded round-robin and steals from
-/// its siblings when empty.
+/// against task granularities of milliseconds to minutes. Workers take
+/// items from one shared cursor, so items start strictly in input order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     threads: usize,
@@ -118,36 +110,6 @@ impl Executor {
         self.threads
     }
 
-    /// Runs `f` with a [`Scope`] whose spawned tasks execute on this
-    /// executor's workers. Returns `f`'s value plus every panic captured
-    /// from a spawned task (an empty vector on a clean run).
-    ///
-    /// All spawned tasks are executed (or drained by their own
-    /// cooperative cancel checks) and all workers are joined before this
-    /// returns — including when `f` itself unwinds.
-    pub(crate) fn scope<'env, T>(
-        &self,
-        token: &CancelToken,
-        f: impl FnOnce(&Scope<'_, 'env>) -> T,
-    ) -> (T, Vec<TaskPanic>) {
-        let shared = Shared::new(self.threads, token.clone());
-        let out = std::thread::scope(|ts| {
-            for worker in 0..self.threads {
-                let sh = &shared;
-                ts.spawn(move || worker_loop(sh, worker));
-            }
-            // The guard closes the pool even when `f` unwinds, so the
-            // scoped workers always terminate and `thread::scope` can join
-            // them instead of deadlocking.
-            let guard = CloseGuard { shared: &shared };
-            let out = f(&Scope { shared: &shared, _env: PhantomData });
-            drop(guard);
-            out
-        });
-        let panics = std::mem::take(&mut *shared.panics.lock().expect("panics lock"));
-        (out, panics)
-    }
-
     /// Deterministic parallel map: applies `f` to every item and returns
     /// the results **in input order**, one [`TaskResult`] per item.
     ///
@@ -165,40 +127,16 @@ impl Executor {
         T: Send,
         F: Fn(usize, I, &CancelToken) -> T + Sync,
     {
-        let slots: Vec<Mutex<Option<TaskResult<T>>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
-        let fr = &f;
-        let slots_ref = &slots;
-        self.scope(token, |scope| {
-            for (i, item) in items.into_iter().enumerate() {
-                scope.spawn(move |tok| {
-                    let out = if let Some(reason) = tok.should_stop() {
-                        Err(TaskError::Cancelled(reason))
-                    } else {
-                        match catch_unwind(AssertUnwindSafe(|| fr(i, item, tok))) {
-                            Ok(v) => Ok(v),
-                            Err(payload) => Err(TaskError::Panicked(panic_message(&*payload))),
-                        }
-                    };
-                    *slots_ref[i].lock().expect("slot lock") = Some(out);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("slot lock").expect("every task ran"))
-            .collect()
+        fan_out(self.threads, items, |i, item| attempt(token, || f(i, item, token)))
     }
-}
 
-impl Executor {
     /// Supervised deterministic parallel map: like [`Executor::map`], but
     /// each item runs under a [`RetryPolicy`] — a task whose result
     /// `classify` calls [`ErrorClass::Transient`] is re-executed in place
-    /// (on the same worker slot, after the policy's deterministic
-    /// backoff) up to `policy.max_attempts` times. Permanent failures and
-    /// successes are never retried, and a fired cancel token stops the
-    /// retry loop at the next boundary.
+    /// (on the same worker, after the policy's deterministic backoff) up
+    /// to `policy.max_attempts` times. Permanent failures and successes
+    /// are never retried, and a fired cancel token stops the retry loop
+    /// at the next boundary.
     ///
     /// `classify` sees the full per-attempt [`TaskResult`] (so a captured
     /// panic can be classified transient while a structural error value
@@ -212,7 +150,8 @@ impl Executor {
     /// checkpointing caller journals from here so a crash between items
     /// loses at most the in-flight ones; `observe` must therefore do its
     /// own locking (it runs concurrently from every worker). Pass `|_| {}`
-    /// to observe nothing.
+    /// to observe nothing. A panic in `classify` or `observe` is not
+    /// captured: it reaches the caller once every worker is joined.
     ///
     /// Returns the final per-item results in input order plus every
     /// failed attempt as a [`RetryRecord`], sorted by `(index, attempt)`
@@ -233,59 +172,73 @@ impl Executor {
         C: Fn(&TaskResult<T>) -> Option<(ErrorClass, String)> + Sync,
         O: Fn(SupervisedEvent<'_, T>) + Sync,
     {
-        let slots: Vec<Mutex<Option<TaskResult<T>>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
         let records: Mutex<Vec<RetryRecord>> = Mutex::new(Vec::new());
         let max_attempts = policy.max_attempts.max(1);
-        let (fr, cr, ob, slots_ref, records_ref, policy_ref) =
-            (&f, &classify, &observe, &slots, &records, policy);
-        self.scope(token, |scope| {
-            for (i, item) in items.into_iter().enumerate() {
-                scope.spawn(move |tok| {
-                    let mut retry_no = 0u32;
-                    let mut attempt = 1u32;
-                    let (out, attempts) = loop {
-                        let out = if let Some(reason) = tok.should_stop() {
-                            Err(TaskError::Cancelled(reason))
-                        } else {
-                            match catch_unwind(AssertUnwindSafe(|| fr(i, &item, attempt, tok))) {
-                                Ok(v) => Ok(v),
-                                Err(p) => Err(TaskError::Panicked(panic_message(&*p))),
-                            }
-                        };
-                        let Some((class, detail)) = cr(&out) else { break (out, attempt) };
-                        let will_retry = class == ErrorClass::Transient
-                            && attempt < max_attempts
-                            && tok.should_stop().is_none();
-                        let backoff = if will_retry {
-                            retry_no += 1;
-                            Some(policy_ref.backoff(retry_no))
-                        } else {
-                            None
-                        };
-                        let record =
-                            RetryRecord { index: i, attempt, class, detail, backoff };
-                        ob(SupervisedEvent::Attempt(&record));
-                        records_ref.lock().expect("records lock").push(record);
-                        match backoff {
-                            Some(d) => sleep_cooperative(tok, d),
-                            None => break (out, attempt),
-                        }
-                        attempt += 1;
-                    };
-                    ob(SupervisedEvent::Finished { index: i, attempts, result: &out });
-                    *slots_ref[i].lock().expect("slot lock") = Some(out);
-                });
-            }
+        let results = fan_out(self.threads, items, |i, item| {
+            let mut attempt_no = 1u32;
+            let out = loop {
+                let out = attempt(token, || f(i, &item, attempt_no, token));
+                let Some((class, detail)) = classify(&out) else { break out };
+                let will_retry = class == ErrorClass::Transient
+                    && attempt_no < max_attempts
+                    && token.should_stop().is_none();
+                // Every earlier attempt was retried, so this is retry
+                // number `attempt_no` of the policy's schedule.
+                let backoff = will_retry.then(|| policy.backoff(attempt_no));
+                let record = RetryRecord { index: i, attempt: attempt_no, class, detail, backoff };
+                observe(SupervisedEvent::Attempt(&record));
+                records.lock().expect("records lock").push(record);
+                match backoff {
+                    Some(d) => sleep_cooperative(token, d),
+                    None => break out,
+                }
+                attempt_no += 1;
+            };
+            observe(SupervisedEvent::Finished { index: i, attempts: attempt_no, result: &out });
+            out
         });
-        let results = slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("slot lock").expect("every task ran"))
-            .collect();
         let mut records = records.into_inner().expect("records lock");
         records.sort_by_key(|r| (r.index, r.attempt));
         (results, records)
     }
+}
+
+/// Runs `job(index, item)` for every item on `min(threads, items.len())`
+/// scoped workers and returns the results in input order. Each worker
+/// takes the next `(index, item)` from one shared cursor and stores the
+/// result in slot `index`; a panic in `job` reaches the caller once
+/// every worker is joined.
+fn fan_out<I, T>(threads: usize, items: Vec<I>, job: impl Fn(usize, I) -> T + Sync) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+{
+    let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let workers = threads.min(items.len());
+    let cursor = Mutex::new(items.into_iter().enumerate());
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let Some((i, item)) = cursor.lock().expect("cursor lock").next() else { return };
+                let out = job(i, item);
+                *slots[i].lock().expect("slot lock") = Some(out);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|m| m.into_inner().expect("slot lock").expect("every item ran"))
+        .collect()
+}
+
+/// One attempt at a task: [`TaskError::Cancelled`] without calling `f`
+/// when `token` has already fired, otherwise `f`'s value or its captured
+/// panic as [`TaskError::Panicked`].
+fn attempt<T>(token: &CancelToken, f: impl FnOnce() -> T) -> TaskResult<T> {
+    if let Some(reason) = token.should_stop() {
+        return Err(TaskError::Cancelled(reason));
+    }
+    catch_unwind(AssertUnwindSafe(f)).map_err(|p| TaskError::Panicked(panic_message(&*p)))
 }
 
 /// One live event from [`Executor::map_supervised_observed`].
@@ -337,153 +290,9 @@ fn sleep_cooperative(token: &CancelToken, total: Duration) {
     }
 }
 
-impl Default for Executor {
-    fn default() -> Self {
-        Executor::machine_sized()
-    }
-}
-
-/// Handle for spawning tasks inside an [`Executor::scope`] call.
-pub(crate) struct Scope<'pool, 'env> {
-    shared: &'pool Shared<'env>,
-    _env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'pool, 'env> Scope<'pool, 'env> {
-    /// Spawns a task onto the pool. The task receives the scope's
-    /// [`CancelToken`] and should poll it at its own loop boundaries; a
-    /// panicking task is captured into the scope's [`TaskPanic`] list.
-    pub(crate) fn spawn(&self, job: impl FnOnce(&CancelToken) + Send + 'env) {
-        self.shared.spawn(Box::new(job));
-    }
-}
-
-type Job<'env> = Box<dyn FnOnce(&CancelToken) + Send + 'env>;
-
-/// State shared between the scope owner and its workers.
-struct Shared<'env> {
-    /// One deque per worker; [`Shared::spawn`] deals round-robin and idle
-    /// workers steal from siblings.
-    queues: Vec<Mutex<VecDeque<Job<'env>>>>,
-    /// Tasks spawned but not yet finished (queued + running).
-    pending: AtomicUsize,
-    /// Set once the scope closure returned: no further spawns will come,
-    /// so `pending == 0` means the pool is drained.
-    closed: AtomicBool,
-    /// Round-robin spawn cursor.
-    cursor: AtomicUsize,
-    /// Pairs with `cv` for idle parking and the final drain wait.
-    sync: Mutex<()>,
-    cv: Condvar,
-    panics: Mutex<Vec<TaskPanic>>,
-    token: CancelToken,
-}
-
-impl<'env> Shared<'env> {
-    fn new(threads: usize, token: CancelToken) -> Shared<'env> {
-        Shared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            closed: AtomicBool::new(false),
-            cursor: AtomicUsize::new(0),
-            sync: Mutex::new(()),
-            cv: Condvar::new(),
-            panics: Mutex::new(Vec::new()),
-            token,
-        }
-    }
-
-    fn spawn(&self, job: Job<'env>) {
-        self.pending.fetch_add(1, Ordering::AcqRel);
-        let qi = self.cursor.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[qi].lock().expect("queue lock").push_back(job);
-        let _g = self.sync.lock().expect("sync lock");
-        self.cv.notify_all();
-    }
-
-    /// Pops from the worker's own deque (FIFO) or steals from a sibling
-    /// (LIFO end, classic stealing order).
-    fn grab(&self, me: usize) -> Option<Job<'env>> {
-        if let Some(job) = self.queues[me].lock().expect("queue lock").pop_front() {
-            return Some(job);
-        }
-        let n = self.queues.len();
-        for offset in 1..n {
-            let victim = (me + offset) % n;
-            if let Some(job) = self.queues[victim].lock().expect("queue lock").pop_back() {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn run(&self, job: Job<'env>) {
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(&self.token))) {
-            self.panics
-                .lock()
-                .expect("panics lock")
-                .push(TaskPanic { message: panic_message(&*payload) });
-        }
-        // Decrement under the sync lock so the close-waiter cannot miss
-        // the final notify between its predicate check and its wait.
-        let _g = self.sync.lock().expect("sync lock");
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.cv.notify_all();
-        }
-    }
-
-    fn drained(&self) -> bool {
-        self.closed.load(Ordering::Acquire) && self.pending.load(Ordering::Acquire) == 0
-    }
-
-    fn close_and_wait(&self) {
-        self.closed.store(true, Ordering::Release);
-        let mut g = self.sync.lock().expect("sync lock");
-        self.cv.notify_all();
-        while self.pending.load(Ordering::Acquire) != 0 {
-            // The timeout is belt-and-braces against a lost wakeup; the
-            // common path is one notify when the last task finishes.
-            let (guard, _) =
-                self.cv.wait_timeout(g, Duration::from_millis(1)).expect("sync lock");
-            g = guard;
-        }
-    }
-}
-
-/// Closes the pool when dropped — including during an unwind of the scope
-/// closure — so scoped workers always terminate.
-struct CloseGuard<'pool, 'env> {
-    shared: &'pool Shared<'env>,
-}
-
-impl Drop for CloseGuard<'_, '_> {
-    fn drop(&mut self) {
-        self.shared.close_and_wait();
-    }
-}
-
-fn worker_loop(shared: &Shared<'_>, me: usize) {
-    loop {
-        match shared.grab(me) {
-            Some(job) => shared.run(job),
-            None => {
-                if shared.drained() {
-                    return;
-                }
-                let g = shared.sync.lock().expect("sync lock");
-                if shared.drained() {
-                    return;
-                }
-                // Park briefly; spawn/finish notifications wake us early.
-                drop(shared.cv.wait_timeout(g, Duration::from_millis(1)).expect("sync lock"));
-            }
-        }
-    }
-}
-
 /// Best-effort extraction of a panic payload's message. Public so the
-/// flow governor and sequential supervisors outside the pool report
-/// captured panics with the pool's wording.
+/// flow governor and sequential supervisors outside the executor report
+/// captured panics with the executor's wording.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
@@ -498,7 +307,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use rtlock_governor::Deadline;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Instant;
 
     #[test]
@@ -507,10 +316,14 @@ mod tests {
         let expect: Vec<u64> = items.iter().map(|&n| n.wrapping_mul(n) ^ 0xA5).collect();
         for threads in [1, 2, 3, 8] {
             let pool = Executor::new(threads);
-            let out =
-                pool.map(&CancelToken::unlimited(), items.clone(), |_, n, _| n.wrapping_mul(n) ^ 0xA5);
+            let runs: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+            let out = pool.map(&CancelToken::unlimited(), items.clone(), |i, n, _| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                n.wrapping_mul(n) ^ 0xA5
+            });
             let got: Vec<u64> = out.into_iter().map(|r| r.unwrap()).collect();
             assert_eq!(got, expect, "threads={threads}");
+            assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "threads={threads}");
         }
     }
 
@@ -595,43 +408,6 @@ mod tests {
         let completed = out.iter().filter(|r| r.is_ok()).count();
         let drained = out.len() - completed;
         assert!(drained > 0, "some queued tasks must have been drained");
-    }
-
-    #[test]
-    fn scope_spawn_runs_every_task_and_collects_panics() {
-        let pool = Executor::new(3);
-        let sum = AtomicU64::new(0);
-        let ((), panics) = pool.scope(&CancelToken::unlimited(), |scope| {
-            for i in 1..=100u64 {
-                let sum = &sum;
-                scope.spawn(move |_| {
-                    if i == 50 {
-                        panic!("task {i} exploded");
-                    }
-                    sum.fetch_add(i, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 5050 - 50);
-        assert_eq!(panics.len(), 1);
-        assert!(panics[0].message.contains("task 50 exploded"));
-    }
-
-    #[test]
-    fn scope_closure_panic_still_joins_workers() {
-        let pool = Executor::new(2);
-        let ran = AtomicUsize::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(&CancelToken::unlimited(), |scope| {
-                let ran = &ran;
-                scope.spawn(move |_| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                });
-                panic!("scope body bug");
-            })
-        }));
-        assert!(result.is_err(), "the scope closure's panic propagates");
-        assert_eq!(ran.load(Ordering::Relaxed), 1, "spawned work still completed");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! optimized-netlist simulation, scan-view sequential emulation, and a
 //! locked-with-correct-key cosimulation on shared random stimulus, plus a
 //! SAT miter between the pre- and post-optimization netlists; a greedy
-//! minimizer ([`shrink`]) reduces divergent modules; and [`corpus`]
+//! minimizer ([`shrink`](mod@shrink)) reduces divergent modules; and [`corpus`]
 //! persists shrunk divergences as regression inputs.
 //!
 //! ```

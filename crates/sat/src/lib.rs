@@ -5,12 +5,12 @@
 //! the role MiniSat plays inside the original attack tool of Subramanyan et
 //! al. (\[4\], \[38\] in the paper).
 //!
-//! Features: a flat `u32` clause arena ([`clause_db`]) with tombstone
+//! Features: a flat `u32` clause arena (`clause_db`) with tombstone
 //! deletion and compacting GC, two-watched-literal propagation with
 //! blocker literals, VSIDS branching with phase saving, first-UIP clause
 //! learning with recursive minimization, LBD ("glue") tracking with
 //! glucose-style learnt reduction and restart signalling alongside Luby
-//! ([`reduce`]), inter-restart inprocessing ([`simplify`]), incremental
+//! (`reduce`), inter-restart inprocessing (`simplify`), incremental
 //! solving under assumptions, and conflict/propagation/wall-clock budgets
 //! so attack experiments can enforce the paper's timeout regime. The
 //! pre-arena solver is preserved in [`baseline`] as the differential

@@ -1,9 +1,9 @@
 //! The CDCL solver.
 //!
-//! The clause database is the flat arena of [`crate::clause_db`]; learnt
+//! The clause database is the flat arena of the `clause_db` module; learnt
 //! clauses carry their literal-block distance (LBD, "glue") and the learnt
-//! set is periodically reduced by glue ([`crate::reduce`]); cheap
-//! inprocessing runs between restarts ([`crate::simplify`]). The search
+//! set is periodically reduced by glue (`reduce`); cheap
+//! inprocessing runs between restarts (`simplify`). The search
 //! itself is classic CDCL: two-watched-literal propagation with blocker
 //! literals, VSIDS decisions with phase saving, first-UIP learning with
 //! recursive clause minimization, and Luby restarts tightened by a

@@ -8,7 +8,7 @@
 //! RTLJ <crc32:8 hex> <len:decimal> <payload:len bytes>\n
 //! ```
 //!
-//! The payload is an [`Event`](crate::Event) encoded by
+//! The payload is an [`Event`] encoded by
 //! [`Event::encode`](crate::Event::encode) — escaped, so it contains no
 //! raw newline; the CRC32 (IEEE, reflected) is computed over exactly the
 //! payload bytes. Records are written with a single `write` call and
