@@ -22,6 +22,32 @@
 //! bounded: the `*_bounded` entry points poll a
 //! [`CancelToken`](rtlock_governor::CancelToken) and return `None` when it
 //! fires, never a partial result.
+//!
+//! # Examples
+//!
+//! Key taint over three gates, `y = (a & b) ^ k0` and `z = !(a & b)`:
+//! only `y` may depend on the key bit.
+//!
+//! ```
+//! use rtlock_dataflow::analyze_netlist;
+//! use rtlock_netlist::{GateKind, Netlist};
+//!
+//! let mut n = Netlist::new("toy");
+//! let a = n.add_input("a");
+//! let b = n.add_input("b");
+//! let k = n.add_input("keyinput0");
+//! n.mark_key_input(k);
+//! let ab = n.add_gate(GateKind::And, vec![a, b]);
+//! let y = n.add_gate(GateKind::Xor, vec![ab, k]);
+//! let z = n.add_gate(GateKind::Not, vec![ab]);
+//! n.add_output("y", y);
+//! n.add_output("z", z);
+//!
+//! let facts = analyze_netlist(&n);
+//! assert_eq!(facts.taint_bits(y), vec![0]);
+//! assert!(facts.taint_is_empty(ab) && facts.taint_is_empty(z));
+//! assert!(facts.key_observable(0), "y is a primary output");
+//! ```
 
 #![warn(missing_docs)]
 

@@ -257,11 +257,13 @@ impl Netlist {
             Black,
         }
         let mut mark = vec![Mark::White; self.gates.len()];
+        // One DFS stack for every root; each walk leaves it empty.
+        let mut stack: Vec<(GateId, usize)> = Vec::new();
         for root in self.ids() {
             if mark[root.index()] == Mark::Black {
                 continue;
             }
-            let mut stack = vec![(root, 0usize)];
+            stack.push((root, 0));
             while let Some(&mut (node, ref mut child)) = stack.last_mut() {
                 let g = &self.gates[node.index()];
                 let sequential_source = !g.kind.is_logic();
@@ -297,15 +299,28 @@ impl Netlist {
         Ok(level)
     }
 
-    /// Topological order of all gates (sources first).
+    /// Topological order of all gates (sources first): by level, and by id
+    /// within a level.
     ///
     /// # Errors
     ///
     /// Returns [`CycleError`] if combinational gates form a cycle.
     pub fn topo_order(&self) -> Result<Vec<GateId>, CycleError> {
         let levels = self.levelize()?;
-        let mut order: Vec<GateId> = self.ids().collect();
-        order.sort_by_key(|g| levels[g.index()]);
+        // Stable counting sort: next[l] is the next free slot of level l.
+        let top = levels.iter().copied().max().map_or(0, |l| l as usize + 1);
+        let mut next = vec![0usize; top + 1];
+        for &l in &levels {
+            next[l as usize + 1] += 1;
+        }
+        for l in 1..next.len() {
+            next[l] += next[l - 1];
+        }
+        let mut order = vec![GateId(0); levels.len()];
+        for (id, &l) in self.ids().zip(&levels) {
+            order[next[l as usize]] = id;
+            next[l as usize] += 1;
+        }
         Ok(order)
     }
 
@@ -322,39 +337,19 @@ impl Netlist {
     /// set). Inputs are always considered live.
     pub fn live_set(&self) -> Vec<bool> {
         let mut live = vec![false; self.gates.len()];
-        let mut stack: Vec<GateId> = self.outputs.iter().map(|&(_, g)| g).collect();
-        // DFF next-state logic is live when the DFF itself is live; start
-        // from output-reachable gates and iterate.
         for &i in &self.inputs {
             live[i.index()] = true;
         }
-        loop {
-            while let Some(g) = stack.pop() {
-                if live[g.index()] {
-                    continue;
-                }
-                live[g.index()] = true;
-                for &f in &self.gates[g.index()].fanin {
-                    if !live[f.index()] {
-                        stack.push(f);
-                    }
-                }
+        // A gate's fanin joins the worklist when the gate becomes live; for
+        // a flip-flop that is its D pin, so next-state logic is live exactly
+        // when its flip-flop is. Inputs have no fanin.
+        let mut stack: Vec<GateId> = self.outputs.iter().map(|&(_, g)| g).collect();
+        while let Some(g) = stack.pop() {
+            if live[g.index()] {
+                continue;
             }
-            // DFFs that became live pull in their fanin cones.
-            let mut grew = false;
-            for id in self.ids() {
-                if live[id.index()] && self.gates[id.index()].kind.is_dff() {
-                    for &f in &self.gates[id.index()].fanin {
-                        if !live[f.index()] {
-                            stack.push(f);
-                            grew = true;
-                        }
-                    }
-                }
-            }
-            if !grew {
-                break;
-            }
+            live[g.index()] = true;
+            stack.extend(self.gates[g.index()].fanin.iter().filter(|f| !live[f.index()]));
         }
         live
     }
@@ -371,11 +366,13 @@ impl Netlist {
         let mut remap: Vec<Option<GateId>> = vec![None; self.gates.len()];
         let mut new_gates = Vec::with_capacity(self.gates.len() - removed);
         let mut new_names = Vec::with_capacity(self.gates.len() - removed);
-        for id in self.ids() {
-            if live[id.index()] {
-                remap[id.index()] = Some(GateId(new_gates.len() as u32));
-                new_gates.push(self.gates[id.index()].clone());
-                new_names.push(self.gate_names[id.index()].clone());
+        let gates = std::mem::take(&mut self.gates);
+        let names = std::mem::take(&mut self.gate_names);
+        for (id, (gate, name)) in gates.into_iter().zip(names).enumerate() {
+            if live[id] {
+                remap[id] = Some(GateId(new_gates.len() as u32));
+                new_gates.push(gate);
+                new_names.push(name);
             }
         }
         for g in &mut new_gates {
@@ -661,5 +658,102 @@ mod tests {
         let n = half_adder();
         assert_eq!(n.find_input("b"), Some(GateId(1)));
         assert_eq!(n.find_input("zz"), None);
+    }
+
+    /// A seeded acyclic netlist with many gates per level, flip-flops fed
+    /// back from later logic, inverters appended after the gates that read
+    /// them (as the optimizer's folds append them), and dead logic.
+    fn random_netlist(seed: u64) -> Netlist {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut n = Netlist::new("rand");
+        let inputs: Vec<GateId> = (0..rng.gen_range(1..6)).map(|i| n.add_input(format!("i{i}"))).collect();
+        n.add_gate(GateKind::Const1, vec![]);
+        let dffs: Vec<GateId> =
+            (0..rng.gen_range(0..4)).map(|_| n.add_gate(GateKind::Dff { init: rng.gen() }, vec![inputs[0]])).collect();
+        let kinds = [GateKind::Buf, GateKind::Not, GateKind::And, GateKind::Xor, GateKind::Nor, GateKind::Mux];
+        for _ in 0..rng.gen_range(10..60) {
+            let kind = kinds[rng.gen_range(0..kinds.len())];
+            let fanin = (0..kind.arity()).map(|_| GateId(rng.gen_range(0..n.len() as u32))).collect();
+            let g = n.add_gate(kind, fanin);
+            if rng.gen_bool(0.2) {
+                // Splice a fresh inverter into one of g's pins; it reads
+                // only gates g could already read, so no cycle forms.
+                let pin = rng.gen_range(0..kind.arity());
+                let inv = n.add_gate(GateKind::Not, vec![GateId(rng.gen_range(0..g.0))]);
+                n.gate_mut(g).fanin[pin] = inv;
+            }
+        }
+        for &d in &dffs {
+            n.gate_mut(d).fanin[0] = GateId(rng.gen_range(0..n.len() as u32));
+        }
+        for o in 0..rng.gen_range(1..4) {
+            n.add_output(format!("o{o}"), GateId(rng.gen_range(0..n.len() as u32)));
+        }
+        n
+    }
+
+    #[test]
+    fn topo_order_is_the_stable_sort_by_level() {
+        let (mut ties, mut later_fanin, mut feedback) = (0, 0, 0);
+        for seed in 0..200 {
+            let n = random_netlist(seed);
+            let levels = n.levelize().expect("acyclic");
+            let mut expected: Vec<GateId> = n.ids().collect();
+            expected.sort_by_key(|g| levels[g.index()]);
+            assert_eq!(n.topo_order().expect("acyclic"), expected, "seed {seed}");
+
+            let mut per_level = HashMap::new();
+            for &l in &levels {
+                *per_level.entry(l).or_insert(0) += 1;
+            }
+            ties += per_level.values().filter(|&&c| c > 1).count();
+            for id in n.ids() {
+                let fanin = &n.gate(id).fanin;
+                later_fanin += fanin.iter().filter(|f| f.0 > id.0).count();
+                if n.gate(id).kind.is_dff() {
+                    feedback += fanin.iter().filter(|f| n.gate(**f).kind.is_logic()).count();
+                }
+            }
+        }
+        assert!(ties > 0 && later_fanin > 0 && feedback > 0, "{ties} {later_fanin} {feedback}");
+    }
+
+    #[test]
+    fn levelize_and_live_set_match_their_definitions() {
+        for seed in 0..200 {
+            let n = random_netlist(seed);
+            // Level: 0 at sources, 1 + the deepest fanin otherwise,
+            // iterated to its fixpoint.
+            let mut levels = vec![0u32; n.len()];
+            let mut moved = true;
+            while moved {
+                moved = false;
+                for id in n.ids().filter(|&id| n.gate(id).kind.is_logic()) {
+                    let l = 1 + n.gate(id).fanin.iter().map(|f| levels[f.index()]).max().unwrap_or(0);
+                    moved |= l != levels[id.index()];
+                    levels[id.index()] = l;
+                }
+            }
+            assert_eq!(n.levelize().expect("acyclic"), levels, "seed {seed}");
+
+            // Live: inputs and output drivers, closed under fanin.
+            let mut live = vec![false; n.len()];
+            for g in n.inputs().iter().copied().chain(n.outputs().iter().map(|&(_, g)| g)) {
+                live[g.index()] = true;
+            }
+            let mut moved = true;
+            while moved {
+                moved = false;
+                for id in n.ids() {
+                    if live[id.index()] {
+                        for f in &n.gate(id).fanin {
+                            moved |= !std::mem::replace(&mut live[f.index()], true);
+                        }
+                    }
+                }
+            }
+            assert_eq!(n.live_set(), live, "seed {seed}");
+        }
     }
 }

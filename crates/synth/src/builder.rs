@@ -8,8 +8,8 @@
 //! rest of the design instead of being bolted onto an already-minimal
 //! netlist.
 
+use crate::strash::StrashTable;
 use rtlock_netlist::{GateId, GateKind, Netlist};
-use std::collections::HashMap;
 
 /// Netlist construction wrapper with structural hashing.
 ///
@@ -30,7 +30,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct GateBuilder {
     netlist: Netlist,
-    strash: HashMap<(GateKind, Vec<GateId>), GateId>,
+    strash: StrashTable,
     zero: Option<GateId>,
     one: Option<GateId>,
 }
@@ -38,13 +38,13 @@ pub struct GateBuilder {
 impl GateBuilder {
     /// Creates a builder for a new netlist.
     pub fn new(name: impl Into<String>) -> GateBuilder {
-        GateBuilder { netlist: Netlist::new(name), strash: HashMap::new(), zero: None, one: None }
+        GateBuilder::from_netlist(Netlist::new(name))
     }
 
     /// Wraps an existing netlist (hash table starts empty, so only new
     /// gates get consed).
     pub fn from_netlist(netlist: Netlist) -> GateBuilder {
-        GateBuilder { netlist, strash: HashMap::new(), zero: None, one: None }
+        GateBuilder { netlist, strash: StrashTable::default(), zero: None, one: None }
     }
 
     /// Finishes building, returning the netlist.
@@ -94,14 +94,8 @@ impl GateBuilder {
         }
     }
 
-    fn raw(&mut self, kind: GateKind, fanin: Vec<GateId>) -> GateId {
-        let key = (kind, fanin.clone());
-        if let Some(&g) = self.strash.get(&key) {
-            return g;
-        }
-        let g = self.netlist.add_gate(kind, fanin);
-        self.strash.insert(key, g);
-        g
+    fn raw(&mut self, kind: GateKind, fanin: &[GateId]) -> GateId {
+        self.strash.find_or_insert_with(kind, fanin, || self.netlist.add_gate(kind, fanin.to_vec()))
     }
 
     /// Inverter with folding (`!!a = a`, constants fold).
@@ -112,7 +106,7 @@ impl GateBuilder {
         if self.netlist.gate(a).kind == GateKind::Not {
             return self.netlist.gate(a).fanin[0];
         }
-        self.raw(GateKind::Not, vec![a])
+        self.raw(GateKind::Not, &[a])
     }
 
     /// 2-input AND with folding.
@@ -127,7 +121,7 @@ impl GateBuilder {
             return a;
         }
         let (x, y) = if a <= b { (a, b) } else { (b, a) };
-        self.raw(GateKind::And, vec![x, y])
+        self.raw(GateKind::And, &[x, y])
     }
 
     /// 2-input OR with folding.
@@ -142,7 +136,7 @@ impl GateBuilder {
             return a;
         }
         let (x, y) = if a <= b { (a, b) } else { (b, a) };
-        self.raw(GateKind::Or, vec![x, y])
+        self.raw(GateKind::Or, &[x, y])
     }
 
     /// 2-input XOR with folding.
@@ -158,7 +152,7 @@ impl GateBuilder {
             return self.constant(false);
         }
         let (x, y) = if a <= b { (a, b) } else { (b, a) };
-        self.raw(GateKind::Xor, vec![x, y])
+        self.raw(GateKind::Xor, &[x, y])
     }
 
     /// XNOR via XOR + NOT (keeps the hash-cons space small).
@@ -202,7 +196,7 @@ impl GateBuilder {
             (None, Some(true)) => return self.or(sel, a),
             _ => {}
         }
-        self.raw(GateKind::Mux, vec![sel, a, b])
+        self.raw(GateKind::Mux, &[sel, a, b])
     }
 
     /// Creates a flip-flop with a placeholder D pin (wire it later with

@@ -34,6 +34,7 @@ pub mod io;
 pub mod lower;
 pub mod opt;
 pub mod scan;
+mod strash;
 
 pub use builder::GateBuilder;
 pub use elaborate::{elaborate, SynthError};

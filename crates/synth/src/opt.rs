@@ -11,9 +11,9 @@
 //! one-input simplifications, structural hashing, dead-gate sweeping.
 //! Iterates to a fixpoint.
 
+use crate::strash::StrashTable;
 use rtlock_governor::CancelToken;
-use rtlock_netlist::{Gate, GateId, GateKind, Netlist};
-use std::collections::HashMap;
+use rtlock_netlist::{GateId, GateKind, Netlist};
 
 /// Deliberate-miscompile injection for the differential fuzzing harness.
 ///
@@ -149,6 +149,45 @@ impl ConstCache {
     }
 }
 
+/// Follows `alias` from `g` to the gate that finally replaces it.
+fn resolve(alias: &[GateId], mut g: GateId) -> GateId {
+    while alias[g.index()] != g {
+        g = alias[g.index()];
+    }
+    g
+}
+
+/// Rewrites every fanin, output driver and output port bit through
+/// `alias`, in place.
+fn rewrite_through(netlist: &mut Netlist, alias: &[GateId]) {
+    for id in netlist.ids() {
+        for f in &mut netlist.gate_mut(id).fanin {
+            *f = resolve(alias, *f);
+        }
+    }
+    for i in 0..netlist.outputs().len() {
+        let drv = netlist.outputs()[i].1;
+        let r = resolve(alias, drv);
+        if r != drv {
+            netlist.replace_output_driver(i, r);
+        }
+    }
+    // Port groups track driver gates too and must follow the aliases,
+    // or sweep_dead would see dangling ids.
+    for p in &mut netlist.output_ports {
+        for b in &mut p.bits {
+            *b = resolve(alias, *b);
+        }
+    }
+}
+
+/// A fold's replacement for the gate being visited.
+enum Replacement {
+    Gate(GateId),
+    Const(bool),
+    Invert(GateId),
+}
+
 /// One constant-folding / algebraic pass. Returns `true` if anything
 /// changed.
 fn fold_pass(netlist: &mut Netlist) -> bool {
@@ -156,15 +195,10 @@ fn fold_pass(netlist: &mut Netlist) -> bool {
         Ok(o) => o,
         Err(_) => return false,
     };
-    // alias[g] = the gate g should be replaced by.
+    // alias[g] = the gate g should be replaced by. Gates the pass adds get
+    // identity entries as they appear.
     let mut alias: Vec<GateId> = netlist.ids().collect();
     let mut consts_cache = ConstCache::scan(netlist);
-    let resolve = |alias: &[GateId], mut g: GateId| -> GateId {
-        while alias[g.index()] != g {
-            g = alias[g.index()];
-        }
-        g
-    };
     let mut changed = false;
 
     for id in order {
@@ -172,48 +206,28 @@ fn fold_pass(netlist: &mut Netlist) -> bool {
         if !kind.is_logic() {
             continue;
         }
-        // Resolve fanins through aliases first.
-        let fanin: Vec<GateId> = netlist.gate(id).fanin.iter().map(|&f| resolve(&alias, f)).collect();
-        if fanin != netlist.gate(id).fanin {
-            netlist.gate_mut(id).fanin = fanin.clone();
-            changed = true;
-        }
-        let consts: Vec<Option<bool>> = fanin.iter().map(|&f| const_of(netlist, f)).collect();
-
-        // Fully constant gate.
-        if consts.iter().all(|c| c.is_some()) {
-            let ins: Vec<bool> = consts.iter().map(|c| c.expect("checked")).collect();
-            let v = kind.eval(&ins);
-            let c = consts_cache.get(netlist, v);
-            while alias.len() < netlist.len() {
-                alias.push(GateId(alias.len() as u32));
+        // Resolve fanins through aliases first, in place.
+        let mut fanin = [GateId(0); 3];
+        let pins = netlist.gate(id).fanin.len();
+        for (slot, f) in fanin.iter_mut().zip(&mut netlist.gate_mut(id).fanin) {
+            let r = resolve(&alias, *f);
+            if r != *f {
+                *f = r;
+                changed = true;
             }
-            alias[id.index()] = c;
-            changed = true;
-            continue;
+            *slot = r;
         }
-
-        let consts_cache_ref = &mut consts_cache;
-        let mut replace_with = |nl: &mut Netlist, target: Replacement, alias: &mut Vec<GateId>| {
-            let new = match target {
-                Replacement::Gate(g) => g,
-                Replacement::Const(v) => consts_cache_ref.get(nl, v),
-                Replacement::Invert(g) => nl.add_gate(GateKind::Not, vec![g]),
-            };
-            // Newly created gates need identity alias entries.
-            while alias.len() < nl.len() {
-                alias.push(GateId(alias.len() as u32));
-            }
-            alias[id.index()] = new;
-        };
-
-        enum Replacement {
-            Gate(GateId),
-            Const(bool),
-            Invert(GateId),
+        let mut consts = [None; 3];
+        for (c, &f) in consts.iter_mut().zip(&fanin[..pins]) {
+            *c = const_of(netlist, f);
         }
 
         let simplification: Option<Replacement> = match kind {
+            // Fully constant gate.
+            _ if consts[..pins].iter().all(Option::is_some) => {
+                let ins = consts.map(|c| c == Some(true));
+                Some(Replacement::Const(kind.eval(&ins[..pins])))
+            }
             GateKind::Buf => Some(Replacement::Gate(fanin[0])),
             GateKind::Not => {
                 if netlist.gate(fanin[0]).kind == GateKind::Not {
@@ -285,8 +299,11 @@ fn fold_pass(netlist: &mut Netlist) -> bool {
                     // Inverted select: swap the data legs and absorb the NOT.
                     None if netlist.gate(s).kind == GateKind::Not => {
                         let inner = netlist.gate(s).fanin[0];
-                        let legs = if inject::opt_mux_bug() { vec![inner, a, b] } else { vec![inner, b, a] };
-                        netlist.gate_mut(id).fanin = legs;
+                        let legs = &mut netlist.gate_mut(id).fanin;
+                        legs[0] = inner;
+                        if !inject::opt_mux_bug() {
+                            legs.swap(1, 2);
+                        }
                         changed = true;
                         None
                     }
@@ -300,33 +317,19 @@ fn fold_pass(netlist: &mut Netlist) -> bool {
             _ => None,
         };
         if let Some(r) = simplification {
-            replace_with(netlist, r, &mut alias);
+            let new = match r {
+                Replacement::Gate(g) => g,
+                Replacement::Const(v) => consts_cache.get(netlist, v),
+                Replacement::Invert(g) => netlist.add_gate(GateKind::Not, vec![g]),
+            };
+            // Newly created gates need identity alias entries.
+            alias.extend((alias.len()..netlist.len()).map(|i| GateId(i as u32)));
+            alias[id.index()] = new;
             changed = true;
         }
     }
-
     if changed {
-        // Rewrite all fanins and outputs through the alias map.
-        for id in netlist.ids() {
-            let fanin: Vec<GateId> = netlist.gate(id).fanin.iter().map(|&f| resolve(&alias, f)).collect();
-            netlist.gate_mut(id).fanin = fanin;
-        }
-        for i in 0..netlist.outputs().len() {
-            let drv = netlist.outputs()[i].1;
-            let r = resolve(&alias, drv);
-            if r != drv {
-                netlist.replace_output_driver(i, r);
-            }
-        }
-        // Port groups track driver gates too and must follow the aliases,
-        // or sweep_dead would see dangling ids.
-        let mut ports = std::mem::take(&mut netlist.output_ports);
-        for p in &mut ports {
-            for b in &mut p.bits {
-                *b = resolve(&alias, *b);
-            }
-        }
-        netlist.output_ports = ports;
+        rewrite_through(netlist, &alias);
     }
     changed
 }
@@ -339,56 +342,33 @@ fn strash_pass(netlist: &mut Netlist) -> bool {
         Err(_) => return false,
     };
     let mut alias: Vec<GateId> = netlist.ids().collect();
-    let resolve = |alias: &[GateId], mut g: GateId| -> GateId {
-        while alias[g.index()] != g {
-            g = alias[g.index()];
-        }
-        g
-    };
-    let mut seen: HashMap<(GateKind, Vec<GateId>), GateId> = HashMap::new();
+    let mut seen = StrashTable::with_capacity(netlist.len());
     let mut changed = false;
     for id in order {
-        let kind = netlist.gate(id).kind;
-        if !kind.is_logic() {
+        let gate = netlist.gate(id);
+        if !gate.kind.is_logic() {
             continue;
         }
-        let mut fanin: Vec<GateId> = netlist.gate(id).fanin.iter().map(|&f| resolve(&alias, f)).collect();
-        // Canonicalize commutative operands.
-        if matches!(kind, GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor | GateKind::Xor | GateKind::Xnor)
-        {
-            fanin.sort();
+        let mut fanin = [GateId(0); 3];
+        let fanin = &mut fanin[..gate.fanin.len()];
+        for (slot, &f) in fanin.iter_mut().zip(&gate.fanin) {
+            *slot = resolve(&alias, f);
         }
-        match seen.get(&(kind, fanin.clone())) {
-            Some(&prev) if prev != id => {
-                alias[id.index()] = prev;
-                changed = true;
-            }
-            _ => {
-                seen.insert((kind, fanin), id);
-            }
+        // Canonicalize commutative operands.
+        if matches!(
+            gate.kind,
+            GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor | GateKind::Xor | GateKind::Xnor
+        ) {
+            fanin.sort_unstable();
+        }
+        let prev = seen.find_or_insert_with(gate.kind, fanin, || id);
+        if prev != id {
+            alias[id.index()] = prev;
+            changed = true;
         }
     }
     if changed {
-        for id in netlist.ids() {
-            let fanin: Vec<GateId> = netlist.gate(id).fanin.iter().map(|&f| resolve(&alias, f)).collect();
-            *netlist.gate_mut(id) = Gate::new(netlist.gate(id).kind, fanin);
-        }
-        for i in 0..netlist.outputs().len() {
-            let drv = netlist.outputs()[i].1;
-            let r = resolve(&alias, drv);
-            if r != drv {
-                netlist.replace_output_driver(i, r);
-            }
-        }
-        // Port groups track driver gates too and must follow the aliases,
-        // or sweep_dead would see dangling ids.
-        let mut ports = std::mem::take(&mut netlist.output_ports);
-        for p in &mut ports {
-            for b in &mut p.bits {
-                *b = resolve(&alias, *b);
-            }
-        }
-        netlist.output_ports = ports;
+        rewrite_through(netlist, &alias);
     }
     changed
 }

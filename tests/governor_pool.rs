@@ -1,12 +1,13 @@
-//! Governor × pool interaction properties: any combination of injected
+//! Governor × executor interaction properties: any combination of injected
 //! stage fault, worker count, and cancellation timing must leave every
 //! design slot in a structured state — `Done`, `Failed` with a typed
 //! [`LockError`], or `Cancelled` — and must never surface a worker panic
-//! or deadlock the pool.
+//! or deadlock the executor.
 //!
 //! This is the cross-layer companion to `crates/core/tests/governor_faults.rs`:
 //! that suite proves each stage fault is absorbed in isolation; this one
-//! proves the absorption survives being raced across a work-stealing pool
+//! proves the absorption survives being raced across the executor's scoped
+//! fan-out loop (worker threads pulling designs from one shared cursor)
 //! while an external token fires at an arbitrary point.
 
 use proptest::prelude::*;
@@ -125,7 +126,7 @@ proptest! {
                 }
                 DesignStatus::Panicked(msg) => {
                     return Err(TestCaseError::fail(format!(
-                        "design {name}: panic escaped the governor into the pool \
+                        "design {name}: panic escaped the governor into the executor \
                          (stage {stage}, fault {fault:?}): {msg}"
                     )));
                 }
