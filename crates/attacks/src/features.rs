@@ -6,7 +6,7 @@
 //! hypotheses. The feature vector mirrors the report fields the original
 //! tools consume (area, per-cell counts, depth, net count).
 
-use rtlock_netlist::Netlist;
+use rtlock_netlist::{GateKind, Netlist};
 use rtlock_synth::optimize;
 
 /// Number of features in a [`FeatureVec`].
@@ -17,23 +17,32 @@ pub type FeatureVec = [f64; NUM_FEATURES];
 
 /// Extracts the feature vector of a netlist.
 pub fn features(netlist: &Netlist) -> FeatureVec {
-    let h = netlist.kind_histogram();
-    let get = |k: &str| h.get(k).copied().unwrap_or(0) as f64;
-    let depth = netlist.depth().unwrap_or(0) as f64;
-    [
-        netlist.logic_count() as f64,
-        get("INV_X1"),
-        get("BUF_X1"),
-        get("AND2_X1"),
-        get("NAND2_X1"),
-        get("OR2_X1"),
-        get("NOR2_X1"),
-        get("XOR2_X1"),
-        get("XNOR2_X1"),
-        get("MUX2_X1"),
-        depth,
-        netlist.len() as f64,
-    ]
+    // Cell counts in feature order: INV, BUF, AND2, NAND2, OR2, NOR2, XOR2,
+    // XNOR2, MUX2.
+    let mut cells = [0usize; 9];
+    for id in netlist.ids() {
+        let slot = match netlist.gate(id).kind {
+            GateKind::Not => 0,
+            GateKind::Buf => 1,
+            GateKind::And => 2,
+            GateKind::Nand => 3,
+            GateKind::Or => 4,
+            GateKind::Nor => 5,
+            GateKind::Xor => 6,
+            GateKind::Xnor => 7,
+            GateKind::Mux => 8,
+            GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff { .. } => continue,
+        };
+        cells[slot] += 1;
+    }
+    let mut f = [0.0; NUM_FEATURES];
+    f[0] = netlist.logic_count() as f64;
+    for (x, &n) in f[1..10].iter_mut().zip(&cells) {
+        *x = n as f64;
+    }
+    f[10] = netlist.depth().unwrap_or(0) as f64;
+    f[11] = netlist.len() as f64;
+    f
 }
 
 /// Hardwires key bit `bit` of `locked` to `value`, re-optimizes, and

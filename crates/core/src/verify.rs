@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use rtlock_governor::CancelToken;
 use rtlock_netlist::CnfBuilder;
 use rtlock_rtl::sim::Simulator;
-use rtlock_rtl::{Bv, Dir, Module, ProcessKind};
+use rtlock_rtl::{Bv, Dir, Module, NetId, ProcessKind};
 use rtlock_sat::{SolveResult, Solver};
 use rtlock_synth::{elaborate, optimize, scan, scan_view};
 
@@ -104,9 +104,10 @@ pub fn try_cosim_bounded(
 ) -> Result<CosimOutcome, String> {
     let mut sim_o = Simulator::new(original);
     let mut sim_l = Simulator::new(locked);
+    let id = |m: &Module, name: &str| m.find_net(name).unwrap_or_else(|| panic!("no net named `{name}`"));
     // Key ports are the key-prefixed inputs that exist *only* in the
     // locked design; an input the original also has is ordinary stimulus.
-    let key_values: Vec<(String, Bv)> = {
+    let key_values: Vec<(NetId, Bv)> = {
         let locked_only = |name: &str| original.find_net(name).is_none();
         let mut out = Vec::new();
         let mut cursor = 0usize;
@@ -118,42 +119,46 @@ pub fn try_cosim_bounded(
                     v.set(i, key[cursor]);
                     cursor += 1;
                 }
-                out.push((net.name.clone(), v));
+                out.push((p, v));
             }
         }
         out
     };
 
-    let clocks: Vec<String> = original
+    let clocks: Vec<NetId> = original
         .procs
         .iter()
         .filter_map(|p| match &p.kind {
-            ProcessKind::Seq { clock, .. } => Some(original.net(*clock).name.clone()),
+            ProcessKind::Seq { clock, .. } => Some(*clock),
             _ => None,
         })
         .collect();
-    let resets: Vec<(String, bool)> = original
+    let resets: Vec<(NetId, bool)> = original
         .procs
         .iter()
         .filter_map(|p| match &p.kind {
-            ProcessKind::Seq { reset: Some(r), .. } => {
-                Some((original.net(r.net).name.clone(), r.active_high))
-            }
+            ProcessKind::Seq { reset: Some(r), .. } => Some((r.net, r.active_high)),
             _ => None,
         })
         .collect();
-    let inputs: Vec<(String, usize)> = original
+    // Each stimulus input as (original id, locked id, width, the reset's
+    // active level when the input is a reset).
+    let inputs: Vec<(NetId, NetId, usize, Option<bool>)> = original
         .ports
         .iter()
-        .filter(|&&p| original.net(p).dir == Some(Dir::Input))
-        .map(|&p| (original.net(p).name.clone(), original.width(p)))
-        .filter(|(n, _)| !clocks.contains(n))
+        .copied()
+        .filter(|&p| original.net(p).dir == Some(Dir::Input) && !clocks.contains(&p))
+        .map(|p| {
+            let reset = resets.iter().find(|(r, _)| *r == p).map(|&(_, ah)| ah);
+            (p, id(locked, &original.net(p).name), original.width(p), reset)
+        })
         .collect();
-    let outputs: Vec<String> = original
+    let outputs: Vec<(NetId, NetId)> = original
         .ports
         .iter()
-        .filter(|&&p| original.net(p).dir == Some(Dir::Output))
-        .map(|&p| original.net(p).name.clone())
+        .copied()
+        .filter(|&p| original.net(p).dir == Some(Dir::Output))
+        .map(|p| (p, id(locked, &original.net(p).name)))
         .collect();
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -165,31 +170,27 @@ pub fn try_cosim_bounded(
             break;
         }
         let in_reset = cycle < 2;
-        for (name, width) in &inputs {
-            let value = if let Some((_, ah)) = resets.iter().find(|(n, _)| n == name) {
-                Bv::from_u64(1, u64::from(in_reset == *ah))
+        for &(in_o, in_l, width, reset) in &inputs {
+            let value = if let Some(ah) = reset {
+                Bv::from_u64(1, u64::from(in_reset == ah))
             } else {
-                let mut v = Bv::zeros(*width);
-                for i in 0..*width {
+                let mut v = Bv::zeros(width);
+                for i in 0..width {
                     v.set(i, rng.gen_bool(0.5));
                 }
                 v
             };
-            sim_o.set_by_name(name, value.clone());
-            sim_l.set_by_name(name, value);
+            sim_o.set(in_o, value.clone());
+            sim_l.set(in_l, value);
         }
         for (port, value) in &key_values {
-            sim_l.set_by_name(port, value.clone());
+            sim_l.set(*port, value.clone());
         }
         sim_o.step().map_err(|e| format!("original design: {e}"))?;
         sim_l.step().map_err(|e| format!("locked design: {e}"))?;
         cycles_run += 1;
-        for out in &outputs {
-            total += 1;
-            if sim_o.get_by_name(out) != sim_l.get_by_name(out) {
-                mismatched += 1;
-            }
-        }
+        total += outputs.len();
+        mismatched += outputs.iter().filter(|&&(out_o, out_l)| sim_o.get(out_o) != sim_l.get(out_l)).count();
     }
     let mismatch_rate = if total == 0 { 0.0 } else { mismatched as f64 / total as f64 };
     Ok(CosimOutcome { mismatch_rate, cycles_run, complete: cycles_run == cycles })
@@ -433,7 +434,7 @@ mod tests {
         .unwrap();
         let err =
             try_cosim_bounded(&looped, &looped, &[], 4, 1, &CancelToken::unlimited()).unwrap_err();
-        assert!(err.contains("design"), "{err}");
+        assert_eq!(err, "original design: combinational loop involving net `x`");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The gate-level netlist data structure.
 
 use crate::gate::{Gate, GateId, GateKind};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Error raised when combinational gates form a cycle.
@@ -219,15 +218,6 @@ impl Netlist {
     /// Number of combinational logic gates (the paper's `#Gate` column).
     pub fn logic_count(&self) -> usize {
         self.gates.iter().filter(|g| g.kind.is_logic()).count()
-    }
-
-    /// Histogram of gate kinds.
-    pub fn kind_histogram(&self) -> HashMap<&'static str, usize> {
-        let mut h = HashMap::new();
-        for g in &self.gates {
-            *h.entry(g.kind.cell_name()).or_insert(0) += 1;
-        }
-        h
     }
 
     /// Fanout lists: for each gate, which gates read it.
@@ -548,6 +538,7 @@ impl Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn half_adder() -> Netlist {
         let mut n = Netlist::new("ha");
@@ -561,11 +552,10 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_histogram() {
+    fn counts() {
         let n = half_adder();
         assert_eq!(n.len(), 4);
         assert_eq!(n.logic_count(), 2);
-        assert_eq!(n.kind_histogram()["XOR2_X1"], 1);
     }
 
     #[test]

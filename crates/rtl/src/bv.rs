@@ -25,14 +25,53 @@ use std::fmt;
 /// Bit 0 is the least significant bit. Unused high bits of the top limb are
 /// always kept zero (a normalized representation), so equality and hashing
 /// are structural.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Bv {
     width: usize,
     limbs: Vec<u64>,
 }
 
+// Written out so that `clone_from` reuses the destination's limb buffer.
+impl Clone for Bv {
+    fn clone(&self) -> Self {
+        Bv { width: self.width, limbs: self.limbs.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.width = source.width;
+        self.limbs.clone_from(&source.limbs);
+    }
+}
+
 fn limbs_for(width: usize) -> usize {
     width.div_ceil(64).max(1)
+}
+
+/// The 64 bits of `limbs` starting at bit `at`, zero past the end.
+fn word_at(limbs: &[u64], at: usize) -> u64 {
+    let (i, s) = (at / 64, at % 64);
+    let lo = limbs.get(i).map_or(0, |&l| l >> s);
+    if s == 0 {
+        lo
+    } else {
+        lo | limbs.get(i + 1).map_or(0, |&l| l << (64 - s))
+    }
+}
+
+/// ORs `src` shifted left by `at` bits into `dst`, dropping what falls
+/// past the end of `dst`.
+fn or_shifted_into(dst: &mut [u64], src: &[u64], at: usize) {
+    let (skip, s) = (at / 64, at % 64);
+    for (i, &l) in src.iter().enumerate() {
+        if let Some(d) = dst.get_mut(skip + i) {
+            *d |= l << s;
+        }
+        if s != 0 {
+            if let Some(d) = dst.get_mut(skip + i + 1) {
+                *d |= l >> (64 - s);
+            }
+        }
+    }
 }
 
 impl Bv {
@@ -49,9 +88,7 @@ impl Bv {
     /// All-one vector of the given width.
     pub fn ones(width: usize) -> Self {
         let mut v = Bv::zeros(width);
-        for l in &mut v.limbs {
-            *l = u64::MAX;
-        }
+        v.limbs.fill(u64::MAX);
         v.normalize();
         v
     }
@@ -183,20 +220,24 @@ impl Bv {
         (0..self.width).map(|i| self.bit(i))
     }
 
+    /// The bits of the top limb that lie inside the width.
+    fn top_mask(&self) -> u64 {
+        u64::MAX >> (self.limbs.len() * 64 - self.width)
+    }
+
     fn normalize(&mut self) {
-        let extra = self.limbs.len() * 64 - self.width;
-        if extra > 0 {
-            let last = self.limbs.len() - 1;
-            self.limbs[last] &= u64::MAX >> extra;
+        let mask = self.top_mask();
+        if let Some(last) = self.limbs.last_mut() {
+            *last &= mask;
         }
     }
 
     /// Zero-extends or truncates to `width`.
     pub fn resize(&self, width: usize) -> Bv {
         let mut out = Bv::zeros(width);
-        for i in 0..width.min(self.width) {
-            out.set(i, self.bit(i));
-        }
+        let n = out.limbs.len().min(self.limbs.len());
+        out.limbs[..n].copy_from_slice(&self.limbs[..n]);
+        out.normalize();
         out
     }
 
@@ -250,35 +291,59 @@ impl Bv {
 
     /// Modular subtraction (wraps at `2^width`). Panics on width mismatch.
     pub fn sub(&self, rhs: &Bv) -> Bv {
-        // a - b = a + ~b + 1 in two's complement.
-        let one = Bv::from_u64(self.width, 1);
-        self.add(&rhs.not()).add(&one)
+        assert_eq!(self.width, rhs.width, "width mismatch in sub");
+        let mut out = self.clone();
+        let mut borrow = false;
+        for (d, &b) in out.limbs.iter_mut().zip(&rhs.limbs) {
+            let (d1, b1) = d.overflowing_sub(b);
+            let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+            *d = d2;
+            borrow = b1 | b2;
+        }
+        out.normalize();
+        out
     }
 
     /// Two's-complement negation.
     pub fn neg(&self) -> Bv {
-        Bv::zeros(self.width).sub(self)
+        // -a = ~a + 1.
+        let mut out = self.clone();
+        let mut carry = true;
+        for l in &mut out.limbs {
+            let (s, c) = (!*l).overflowing_add(u64::from(carry));
+            *l = s;
+            carry = c;
+        }
+        out.normalize();
+        out
     }
 
     /// Modular multiplication (truncated to `width`). Panics on width mismatch.
     pub fn mul(&self, rhs: &Bv) -> Bv {
         assert_eq!(self.width, rhs.width, "width mismatch in mul");
-        let mut acc = Bv::zeros(self.width);
-        let mut shifted = self.clone();
-        for i in 0..self.width {
-            if rhs.bit(i) {
-                acc = acc.add(&shifted);
+        // Schoolbook over limbs, forming only the partial products that
+        // land inside the width's limbs. `a * b + acc + carry` fits in a
+        // `u128`.
+        let n = self.limbs.len();
+        let mut out = Bv::zeros(self.width);
+        for (i, &a) in self.limbs.iter().enumerate().filter(|&(_, &a)| a != 0) {
+            let mut carry = 0u64;
+            for (acc, &b) in out.limbs[i..].iter_mut().zip(&rhs.limbs[..n - i]) {
+                let t = u128::from(a) * u128::from(b) + u128::from(*acc) + u128::from(carry);
+                *acc = t as u64;
+                carry = (t >> 64) as u64;
             }
-            shifted = shifted.shl(1);
         }
-        acc
+        out.normalize();
+        out
     }
 
     /// Logical shift left by `amount` bits (zero fill).
     pub fn shl(&self, amount: usize) -> Bv {
         let mut out = Bv::zeros(self.width);
-        for i in amount..self.width {
-            out.set(i, self.bit(i - amount));
+        if amount < self.width {
+            or_shifted_into(&mut out.limbs, &self.limbs, amount);
+            out.normalize();
         }
         out
     }
@@ -286,8 +351,11 @@ impl Bv {
     /// Logical shift right by `amount` bits (zero fill).
     pub fn shr(&self, amount: usize) -> Bv {
         let mut out = Bv::zeros(self.width);
-        for i in 0..self.width.saturating_sub(amount) {
-            out.set(i, self.bit(i + amount));
+        if amount < self.width {
+            // Bits past the width are zero, so the top limb stays normalized.
+            for (i, l) in out.limbs.iter_mut().enumerate() {
+                *l = word_at(&self.limbs, amount + i * 64);
+            }
         }
         out
     }
@@ -305,7 +373,8 @@ impl Bv {
 
     /// AND-reduction over all bits.
     pub fn reduce_and(&self) -> bool {
-        *self == Bv::ones(self.width)
+        let (last, full) = self.limbs.split_last().expect("a bit vector has at least one limb");
+        full.iter().all(|&l| l == u64::MAX) && *last == self.top_mask()
     }
 
     /// OR-reduction over all bits.
@@ -326,21 +395,18 @@ impl Bv {
     pub fn slice(&self, hi: usize, lo: usize) -> Bv {
         assert!(hi >= lo && hi < self.width, "invalid slice [{hi}:{lo}] of width {}", self.width);
         let mut out = Bv::zeros(hi - lo + 1);
-        for i in lo..=hi {
-            out.set(i - lo, self.bit(i));
+        for (i, l) in out.limbs.iter_mut().enumerate() {
+            *l = word_at(&self.limbs, lo + i * 64);
         }
+        out.normalize();
         out
     }
 
     /// Concatenation: `self` becomes the high part (Verilog `{self, low}`).
     pub fn concat(&self, low: &Bv) -> Bv {
         let mut out = Bv::zeros(self.width + low.width);
-        for i in 0..low.width {
-            out.set(i, low.bit(i));
-        }
-        for i in 0..self.width {
-            out.set(low.width + i, self.bit(i));
-        }
+        out.limbs[..low.limbs.len()].copy_from_slice(&low.limbs);
+        or_shifted_into(&mut out.limbs, &self.limbs, low.width);
         out
     }
 
@@ -351,9 +417,10 @@ impl Bv {
     /// Panics if `times == 0`.
     pub fn repeat(&self, times: usize) -> Bv {
         assert!(times > 0, "repeat count must be positive");
-        let mut out = self.clone();
-        for _ in 1..times {
-            out = out.concat(self);
+        let width = self.width.checked_mul(times).expect("repeat width overflows usize");
+        let mut out = Bv::zeros(width);
+        for t in 0..times {
+            or_shifted_into(&mut out.limbs, &self.limbs, t * self.width);
         }
         out
     }
@@ -534,5 +601,193 @@ mod tests {
         let v = Bv::from_u64(8, 1);
         assert_eq!(v.neg(), Bv::from_u64(8, 0xFF));
         assert_eq!(Bv::zeros(8).neg(), Bv::zeros(8));
+    }
+
+    /// Bit-at-a-time definitions of the word-level kernels, built on `bit`
+    /// and `set` alone.
+    mod bitwise {
+        use super::Bv;
+
+        pub fn resize(v: &Bv, width: usize) -> Bv {
+            let mut out = Bv::zeros(width);
+            for i in 0..width.min(v.width()) {
+                out.set(i, v.bit(i));
+            }
+            out
+        }
+
+        pub fn shl(v: &Bv, amount: usize) -> Bv {
+            let mut out = Bv::zeros(v.width());
+            for i in amount..v.width() {
+                out.set(i, v.bit(i - amount));
+            }
+            out
+        }
+
+        pub fn shr(v: &Bv, amount: usize) -> Bv {
+            let mut out = Bv::zeros(v.width());
+            for i in 0..v.width().saturating_sub(amount) {
+                out.set(i, v.bit(i + amount));
+            }
+            out
+        }
+
+        pub fn slice(v: &Bv, hi: usize, lo: usize) -> Bv {
+            let mut out = Bv::zeros(hi - lo + 1);
+            for i in lo..=hi {
+                out.set(i - lo, v.bit(i));
+            }
+            out
+        }
+
+        pub fn concat(high: &Bv, low: &Bv) -> Bv {
+            let mut out = Bv::zeros(high.width() + low.width());
+            for i in 0..low.width() {
+                out.set(i, low.bit(i));
+            }
+            for i in 0..high.width() {
+                out.set(low.width() + i, high.bit(i));
+            }
+            out
+        }
+
+        pub fn repeat(v: &Bv, times: usize) -> Bv {
+            (1..times).fold(v.clone(), |acc, _| concat(&acc, v))
+        }
+
+        /// Ripple-carry `a + b + carry_in`.
+        pub fn add(a: &Bv, b: &Bv, carry_in: bool) -> Bv {
+            let mut out = Bv::zeros(a.width());
+            let mut carry = carry_in;
+            for i in 0..a.width() {
+                let (x, y) = (a.bit(i), b.bit(i));
+                out.set(i, x ^ y ^ carry);
+                carry = (x & y) | (carry & (x ^ y));
+            }
+            out
+        }
+
+        pub fn not(v: &Bv) -> Bv {
+            let mut out = Bv::zeros(v.width());
+            for i in 0..v.width() {
+                out.set(i, !v.bit(i));
+            }
+            out
+        }
+
+        /// `a - b = a + ~b + 1`.
+        pub fn sub(a: &Bv, b: &Bv) -> Bv {
+            add(a, &not(b), true)
+        }
+
+        pub fn neg(v: &Bv) -> Bv {
+            sub(&Bv::zeros(v.width()), v)
+        }
+
+        /// Shift-and-add over the bits of `b`.
+        pub fn mul(a: &Bv, b: &Bv) -> Bv {
+            (0..b.width()).filter(|&i| b.bit(i)).fold(Bv::zeros(a.width()), |acc, i| add(&acc, &shl(a, i), false))
+        }
+
+        pub fn reduce_and(v: &Bv) -> bool {
+            (0..v.width()).all(|i| v.bit(i))
+        }
+    }
+
+    /// SplitMix64: a small seeded generator for the differential test.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n`.
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A width in 1..=200, one draw in three on or next to a limb edge.
+        fn width(&mut self) -> usize {
+            const EDGES: [usize; 10] = [1, 63, 64, 65, 127, 128, 129, 191, 192, 193];
+            if self.below(3) == 0 {
+                EDGES[self.below(EDGES.len())]
+            } else {
+                1 + self.below(200)
+            }
+        }
+
+        /// A value of `width` bits: random, all ones, zero, one set bit, or
+        /// a run of ones (long carry and borrow chains).
+        fn value(&mut self, width: usize) -> Bv {
+            let bits: Vec<bool> = match self.below(5) {
+                0 => (0..width).map(|_| self.next() & 1 == 1).collect(),
+                1 => vec![true; width],
+                2 => vec![false; width],
+                3 => {
+                    let one = self.below(width);
+                    (0..width).map(|i| i == one).collect()
+                }
+                _ => {
+                    let (x, y) = (self.below(width + 1), self.below(width + 1));
+                    (0..width).map(|i| (x.min(y)..x.max(y)).contains(&i)).collect()
+                }
+            };
+            Bv::from_bits(&bits)
+        }
+    }
+
+    /// Every word-level kernel against its bit-at-a-time definition on
+    /// seeded values whose widths (1–200), shift amounts (0 to width + 2)
+    /// and slice bounds cross and land on limb edges.
+    #[test]
+    fn word_kernels_match_bitwise_definitions() {
+        let mut rng = Mix(0xB17_5EED);
+        let mut checks = 0usize;
+        for _ in 0..1_200 {
+            let w = rng.width();
+            let (a, b) = (rng.value(w), rng.value(w));
+            let ctx = format!("a={a:?} b={b:?}");
+
+            let to = rng.width();
+            assert_eq!(a.resize(to), bitwise::resize(&a, to), "resize to {to}, {ctx}");
+            for _ in 0..2 {
+                let amount = rng.below(w + 3);
+                assert_eq!(a.shl(amount), bitwise::shl(&a, amount), "shl {amount}, {ctx}");
+                assert_eq!(a.shr(amount), bitwise::shr(&a, amount), "shr {amount}, {ctx}");
+            }
+
+            // One random slice, one whose ends sit on limb edges.
+            let (x, y) = (rng.below(w), rng.below(w));
+            let (hi, lo) = (x.max(y), x.min(y));
+            assert_eq!(a.slice(hi, lo), bitwise::slice(&a, hi, lo), "slice [{hi}:{lo}], {ctx}");
+            let lo = (rng.below(w) / 64) * 64;
+            let hi = (lo + 64 * (1 + rng.below(3)) - 1).min(w - 1);
+            assert_eq!(a.slice(hi, lo), bitwise::slice(&a, hi, lo), "slice [{hi}:{lo}], {ctx}");
+
+            let cw = rng.width();
+            let c = rng.value(cw);
+            assert_eq!(a.concat(&c), bitwise::concat(&a, &c), "concat {c:?}, {ctx}");
+            assert_eq!(c.concat(&a), bitwise::concat(&c, &a), "concat {c:?}, {ctx}");
+            let sw = 1 + rng.below(70);
+            let short = rng.value(sw);
+            let times = 1 + rng.below(6);
+            assert_eq!(short.repeat(times), bitwise::repeat(&short, times), "repeat {short:?} x{times}");
+
+            assert_eq!(a.sub(&b), bitwise::sub(&a, &b), "sub, {ctx}");
+            assert_eq!(a.neg(), bitwise::neg(&a), "neg, {ctx}");
+            assert_eq!(a.mul(&b), bitwise::mul(&a, &b), "mul, {ctx}");
+            assert_eq!(a.reduce_and(), bitwise::reduce_and(&a), "reduce_and, {ctx}");
+            let mut holed = Bv::ones(w);
+            assert!(holed.reduce_and(), "reduce_and of ones({w})");
+            holed.set(rng.below(w), false);
+            assert!(!holed.reduce_and(), "reduce_and of {holed:?}");
+            checks += 17;
+        }
+        assert!(checks >= 10_000, "{checks} checks");
     }
 }

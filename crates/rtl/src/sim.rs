@@ -9,16 +9,28 @@
 //! [`Simulator::step`]; all other nets are recomputed to a combinational
 //! fixpoint each evaluation. Clocked processes use non-blocking assignment
 //! semantics, combinational processes blocking semantics.
+//!
+//! [`Simulator::settle`] reaches that fixpoint by sweeps: each sweep runs
+//! every continuous assign in declaration order, then every combinational
+//! process in declaration order. Only those statements write nets during a
+//! sweep, so the simulator records their target nets once, in the order a
+//! sweep first writes them, and each sweep compares only those nets against
+//! a snapshot taken before it. The fixpoint is the first sweep that leaves
+//! all of them unchanged. After `nets + 2` sweeps without one, settling
+//! fails with a [`CombLoopError`] naming the first of those nets that the
+//! last sweep changed.
 
 use crate::ast::*;
 use crate::bv::Bv;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Error raised when combinational logic does not reach a fixpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CombLoopError {
-    /// Name of a net still changing when the iteration budget ran out.
+    /// Name of the first net, in sweep order, that the last sweep changed
+    /// when the iteration budget ran out.
     pub net: String,
 }
 
@@ -50,20 +62,42 @@ pub struct Simulator<'m> {
     values: Vec<Bv>,
     /// Nets that behave as state (assigned by clocked processes).
     state_nets: Vec<bool>,
+    /// Nets a settle sweep writes (continuous assigns and combinational
+    /// processes), in the order a sweep first writes them.
+    comb_nets: Vec<NetId>,
+    /// Values of `comb_nets` before the current sweep.
+    snapshot: Vec<Bv>,
 }
 
 impl<'m> Simulator<'m> {
     /// Creates a simulator with all nets zeroed.
     pub fn new(module: &'m Module) -> Self {
-        let values = module.nets.iter().map(|n| Bv::zeros(n.width)).collect();
+        let values: Vec<Bv> = module.nets.iter().map(|n| Bv::zeros(n.width)).collect();
         let mut state_nets = vec![false; module.nets.len()];
+        let mut mark_state = |net: NetId| state_nets[net.index()] = true;
         for p in &module.procs {
             if matches!(p.kind, ProcessKind::Seq { .. }) {
-                mark_assigned(&p.body, &mut state_nets);
-                mark_assigned(&p.reset_body, &mut state_nets);
+                for_each_assigned(&p.body, &mut mark_state);
+                for_each_assigned(&p.reset_body, &mut mark_state);
             }
         }
-        Simulator { module, values, state_nets }
+        let mut comb_nets = Vec::new();
+        let mut seen = vec![false; module.nets.len()];
+        let mut note = |net: NetId| {
+            if !std::mem::replace(&mut seen[net.index()], true) {
+                comb_nets.push(net);
+            }
+        };
+        for a in &module.assigns {
+            note(a.lhs.net);
+        }
+        for p in &module.procs {
+            if matches!(p.kind, ProcessKind::Comb) {
+                for_each_assigned(&p.body, &mut note);
+            }
+        }
+        let snapshot = comb_nets.iter().map(|n| values[n.index()].clone()).collect();
+        Simulator { module, values, state_nets, comb_nets, snapshot }
     }
 
     /// The module under simulation.
@@ -139,8 +173,11 @@ impl<'m> Simulator<'m> {
     /// iteration budget (2 + number of nets).
     pub fn settle(&mut self) -> Result<(), CombLoopError> {
         let budget = self.module.nets.len() + 2;
+        let mut changed = None;
         for _ in 0..budget {
-            let before = self.values.clone();
+            for (snap, net) in self.snapshot.iter_mut().zip(&self.comb_nets) {
+                snap.clone_from(&self.values[net.index()]);
+            }
             for a in &self.module.assigns {
                 let v = self.eval(&a.rhs);
                 self.write_lvalue(&a.lhs, v);
@@ -150,18 +187,12 @@ impl<'m> Simulator<'m> {
                     self.exec_blocking(&p.body);
                 }
             }
-            if self.values == before {
+            changed = self.comb_nets.iter().zip(&self.snapshot).find(|(n, snap)| self.values[n.index()] != **snap);
+            if changed.is_none() {
                 return Ok(());
             }
         }
-        let net = self
-            .module
-            .nets
-            .iter()
-            .enumerate()
-            .find(|(i, _)| !self.state_nets[*i])
-            .map(|(_, n)| n.name.clone())
-            .unwrap_or_default();
+        let net = changed.map(|(n, _)| self.module.net(*n).name.clone()).unwrap_or_default();
         Err(CombLoopError { net })
     }
 
@@ -219,13 +250,12 @@ impl<'m> Simulator<'m> {
     }
 
     fn write_lvalue(&mut self, lv: &Lvalue, value: Bv) {
-        let w = self.module.width(lv.net);
         match lv.range {
             None => {
-                self.values[lv.net.index()] = value.resize(w);
+                self.values[lv.net.index()] = fitted(Cow::Owned(value), self.module.width(lv.net)).into_owned();
             }
             Some((hi, lo)) => {
-                let v = value.resize(hi - lo + 1);
+                let v = fitted(Cow::Owned(value), hi - lo + 1);
                 let slot = &mut self.values[lv.net.index()];
                 for i in lo..=hi {
                     let bit = v.bit(i - lo);
@@ -243,16 +273,15 @@ impl<'m> Simulator<'m> {
                     self.write_lvalue(lhs, v);
                 }
                 Stmt::If { cond, then_, else_ } => {
-                    if self.eval(cond).reduce_or() {
+                    if self.value_of(cond).reduce_or() {
                         self.exec_blocking(then_);
                     } else {
                         self.exec_blocking(else_);
                     }
                 }
                 Stmt::Case { subject, arms, default } => {
-                    let subj = self.eval(subject);
-                    let arm = arms.iter().find(|a| a.labels.iter().any(|l| l.resize(subj.width()) == subj));
-                    match arm {
+                    let subj = self.value_of(subject);
+                    match matching_arm(arms, &subj) {
                         Some(a) => self.exec_blocking(&a.body),
                         None => self.exec_blocking(default),
                     }
@@ -268,16 +297,15 @@ impl<'m> Simulator<'m> {
                     staged.push((lhs.clone(), self.eval(rhs)));
                 }
                 Stmt::If { cond, then_, else_ } => {
-                    if self.eval(cond).reduce_or() {
+                    if self.value_of(cond).reduce_or() {
                         self.exec_nonblocking(then_, staged);
                     } else {
                         self.exec_nonblocking(else_, staged);
                     }
                 }
                 Stmt::Case { subject, arms, default } => {
-                    let subj = self.eval(subject);
-                    let arm = arms.iter().find(|a| a.labels.iter().any(|l| l.resize(subj.width()) == subj));
-                    match arm {
+                    let subj = self.value_of(subject);
+                    match matching_arm(arms, &subj) {
                         Some(a) => self.exec_nonblocking(&a.body, staged),
                         None => self.exec_nonblocking(default, staged),
                     }
@@ -293,7 +321,7 @@ impl<'m> Simulator<'m> {
             Expr::Ref(n) => self.values[n.index()].clone(),
             Expr::Slice { net, hi, lo } => self.values[net.index()].slice(*hi, *lo),
             Expr::IndexDyn { net, index } => {
-                let idx = self.eval(index).to_u64_lossy() as usize;
+                let idx = self.value_of(index).to_u64_lossy() as usize;
                 let v = &self.values[net.index()];
                 if idx < v.width() {
                     Bv::from_bool(v.bit(idx))
@@ -302,7 +330,7 @@ impl<'m> Simulator<'m> {
                 }
             }
             Expr::Unary { op, arg } => {
-                let a = self.eval(arg);
+                let a = self.value_of(arg);
                 match op {
                     UnaryOp::Not => a.not(),
                     UnaryOp::LogicNot => Bv::from_bool(!a.reduce_or()),
@@ -313,10 +341,9 @@ impl<'m> Simulator<'m> {
                 }
             }
             Expr::Binary { op, lhs, rhs } => {
-                let a = self.eval(lhs);
-                let b = self.eval(rhs);
+                let (a, b) = (self.value_of(lhs), self.value_of(rhs));
                 let w = a.width().max(b.width());
-                let (a, b) = (a.resize(w), b.resize(w));
+                let (a, b) = (fitted(a, w), fitted(b, w));
                 match op {
                     BinaryOp::And => a.and(&b),
                     BinaryOp::Or => a.or(&b),
@@ -338,39 +365,62 @@ impl<'m> Simulator<'m> {
                 }
             }
             Expr::Ternary { cond, then_, else_ } => {
-                let t = self.eval(then_);
-                let f = self.eval(else_);
+                let (t, f) = (self.value_of(then_), self.value_of(else_));
                 let w = t.width().max(f.width());
-                if self.eval(cond).reduce_or() {
-                    t.resize(w)
-                } else {
-                    f.resize(w)
-                }
+                let taken = if self.value_of(cond).reduce_or() { t } else { f };
+                fitted(taken, w).into_owned()
             }
             Expr::Concat(parts) => {
-                let vals: Vec<Bv> = parts.iter().map(|p| self.eval(p)).collect();
-                let mut it = vals.into_iter();
-                let first = it.next().expect("concat is non-empty");
+                let mut it = parts.iter().map(|p| self.value_of(p));
+                let first = it.next().expect("concat is non-empty").into_owned();
                 it.fold(first, |acc, v| acc.concat(&v))
             }
-            Expr::Repeat { times, expr } => self.eval(expr).repeat(*times),
+            Expr::Repeat { times, expr } => self.value_of(expr).repeat(*times),
+        }
+    }
+
+    /// Evaluates an operand, borrowing a constant's or a net's value
+    /// instead of copying it.
+    fn value_of<'a>(&'a self, e: &'a Expr) -> Cow<'a, Bv> {
+        match e {
+            Expr::Const(c) => Cow::Borrowed(c),
+            Expr::Ref(n) => Cow::Borrowed(&self.values[n.index()]),
+            _ => Cow::Owned(self.eval(e)),
         }
     }
 }
 
-fn mark_assigned(stmts: &[Stmt], flags: &mut Vec<bool>) {
+/// `value` zero-extended or truncated to `width`, without a copy when it
+/// already has that width.
+fn fitted(value: Cow<'_, Bv>, width: usize) -> Cow<'_, Bv> {
+    if value.width() == width {
+        value
+    } else {
+        Cow::Owned(value.resize(width))
+    }
+}
+
+/// The first arm with a label that, resized to the subject's width, equals
+/// the subject.
+fn matching_arm<'a>(arms: &'a [CaseArm], subject: &Bv) -> Option<&'a CaseArm> {
+    arms.iter().find(|a| a.labels.iter().any(|l| *fitted(Cow::Borrowed(l), subject.width()) == *subject))
+}
+
+/// Calls `f` on the target net of every assignment in `stmts`, in
+/// statement order, descending into `if` and `case` bodies.
+fn for_each_assigned(stmts: &[Stmt], f: &mut impl FnMut(NetId)) {
     for s in stmts {
         match s {
-            Stmt::Assign { lhs, .. } => flags[lhs.net.index()] = true,
+            Stmt::Assign { lhs, .. } => f(lhs.net),
             Stmt::If { then_, else_, .. } => {
-                mark_assigned(then_, flags);
-                mark_assigned(else_, flags);
+                for_each_assigned(then_, f);
+                for_each_assigned(else_, f);
             }
             Stmt::Case { arms, default, .. } => {
                 for a in arms {
-                    mark_assigned(&a.body, flags);
+                    for_each_assigned(&a.body, f);
                 }
-                mark_assigned(default, flags);
+                for_each_assigned(default, f);
             }
         }
     }
@@ -409,6 +459,68 @@ mod tests {
         let m = parse("module t(output y); wire w; assign w = ~w; assign y = w; endmodule").unwrap();
         let mut s = Simulator::new(&m);
         assert!(s.settle().is_err());
+    }
+
+    #[test]
+    fn comb_loop_error_names_the_oscillating_net() {
+        // `a` is an input and `y` only follows `x`: the loop is `x = ~x`.
+        let m = parse("module l(input a, output y); wire x; assign x = ~x; assign y = x & a; endmodule").unwrap();
+        for a in [false, true] {
+            let mut s = Simulator::new(&m);
+            s.set_by_name("a", Bv::from_bool(a));
+            assert_eq!(s.settle(), Err(CombLoopError { net: "x".into() }), "a = {a}");
+        }
+    }
+
+    #[test]
+    fn settle_carries_a_process_output_into_an_earlier_assign() {
+        // The first sweep leaves `y` unchanged and changes only `p`; `y`
+        // must still pick up `p` in the next sweep.
+        let m = parse("module t(input a, output y); reg p; assign y = p; always @(*) p = ~a; endmodule").unwrap();
+        let mut s = Simulator::new(&m);
+        s.settle().unwrap();
+        assert_eq!(s.get_by_name("y"), Bv::from_bool(true));
+    }
+
+    #[test]
+    fn case_labels_are_resized_to_the_subject() {
+        // The parser sizes labels to the subject; a module built directly
+        // may not. A 1-bit label zero-extends, a 3-bit one truncates.
+        let mut m = parse("module t(input [1:0] s, output reg y); endmodule").unwrap();
+        let (s_id, y_id) = (m.find_net("s").unwrap(), m.find_net("y").unwrap());
+        let set_y = |v: bool| vec![Stmt::Assign { lhs: Lvalue::whole(y_id), rhs: Expr::Const(Bv::from_bool(v)) }];
+        m.procs.push(Process {
+            kind: ProcessKind::Comb,
+            body: vec![Stmt::Case {
+                subject: Expr::net(s_id),
+                arms: vec![CaseArm { labels: vec![Bv::from_bool(true), Bv::from_u64(3, 0b110)], body: set_y(true) }],
+                default: set_y(false),
+            }],
+            reset_body: Vec::new(),
+        });
+        let mut sim = Simulator::new(&m);
+        for (s, y) in [(0, false), (1, true), (2, true), (3, false)] {
+            sim.set_by_name("s", Bv::from_u64(2, s));
+            sim.settle().unwrap();
+            assert_eq!(sim.get_by_name("y"), Bv::from_bool(y), "s = {s}");
+        }
+    }
+
+    #[test]
+    fn settle_fixpoint_ignores_a_value_restored_within_the_sweep() {
+        // The process writes `n` twice per sweep; only its value at the
+        // sweep's end counts, so the first sweep after a change settles.
+        let m = parse(
+            "module t(input [1:0] s, output reg [1:0] n);\n\
+             always @(*) begin n = 2'd3; case (s) 2'd1: n = 2'd2; default: n = s; endcase end\nendmodule",
+        )
+        .unwrap();
+        let mut sim = Simulator::new(&m);
+        for (s, n) in [(0, 0), (1, 2), (2, 2), (3, 3)] {
+            sim.set_by_name("s", Bv::from_u64(2, s));
+            sim.settle().unwrap();
+            assert_eq!(sim.get_by_name("n"), Bv::from_u64(2, n), "s = {s}");
+        }
     }
 
     #[test]
